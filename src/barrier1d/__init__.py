@@ -8,14 +8,15 @@ cells under compression.
 
 Internal units are natural units (hbar = 1, m = 1/2, k = sqrt(E));
 :class:`barrier1d.potential.UnitSystem` converts eV/Angstrom and erg/cm
-inputs.  The hot kernels are numba-compiled; set
-``BARRIER1D_DISABLE_NUMBA=1`` before import to force the pure-numpy path.
+inputs.  The hot kernels (:mod:`barrier1d._kernels`) are plain numpy:
+scalar slab loops for single-energy solves, one vectorised slab-entry
+routine for energy grids.
 """
 
 from .potential import (Constant, Linear, Potential, Sampled, Segment,
                         UnitSystem, build_rect_pair, compress, load_potential,
                         save_potential, wave_number)
-from .oracle import ConditioningError, ScatterData, free_data, solve_exact, transmittance
+from .oracle import ConditioningError, ScatterData, free_data, solve_exact
 from .compose import (FluctuationResult, GapJoin, HeightDistribution,
                       LossModel, LossRangeError, PairTransmittance,
                       ResonantDenominatorError,

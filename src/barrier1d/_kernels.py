@@ -1,11 +1,12 @@
 """Hot numeric kernels: slab transfer-matrix products, the adaptive
 Riccati integrators and the bound-state shooting loop.
 
-Every kernel is a plain Python function over numpy scalars and arrays,
-compiled with ``numba.njit`` when available.  Setting the environment
-variable ``BARRIER1D_DISABLE_NUMBA=1`` (or a failed numba import) selects
-the uncompiled pure-numpy path; results are identical, only slower.
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+Every kernel is a plain Python function over numpy scalars and arrays.
+Slab products come in two shapes, picked by the caller's input: scalar
+loops (:func:`_cs_entries`, :func:`_transfer_product`) for a solve at one
+energy, where numpy's per-call overhead outweighs the work, and the
+vectorised entries :func:`_cs` for whole energy grids
+(:func:`_cell_traces` and the bound-state and ensemble scans).
 
 Transfer matrices act on (psi, psi') and for a constant slab with
 q^2 = E - U read
@@ -24,25 +25,8 @@ from __future__ import annotations
 
 import math
 import cmath
-import os
 
 import numpy as np
-
-NUMBA_ENABLED = False
-if os.environ.get("BARRIER1D_DISABLE_NUMBA", "").strip() not in ("", "0"):
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-else:
-    try:
-        from numba import njit  # type: ignore
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        def njit(*args, **kwargs):
-            if args and callable(args[0]):
-                return args[0]
-            return lambda f: f
 
 _SCALE_LIMIT = 1e100
 
@@ -50,7 +34,6 @@ _SCALE_LIMIT = 1e100
 # slab matrix entries
 
 
-@njit(cache=True)
 def _cs_entries(q2, w):
     """(C, S) entries of the (psi, psi') slab matrix, stable across q2 = 0."""
     t = q2 * w * w
@@ -66,7 +49,30 @@ def _cs_entries(q2, w):
     return c, s
 
 
-@njit(cache=True)
+def _cs(q2, w):
+    """Vectorised :func:`_cs_entries`: (C, S) arrays over an array of q2
+    values for one slab width w."""
+    t = q2 * w * w
+    c = np.empty_like(q2)
+    s = np.empty_like(q2)
+    pos = t > 1e-6
+    neg = t < -1e-6
+    mid = ~(pos | neg)
+    if pos.any():
+        q = np.sqrt(q2[pos])
+        c[pos] = np.cos(q * w)
+        s[pos] = np.sin(q * w) / q
+    if neg.any():
+        ka = np.sqrt(-q2[neg])
+        c[neg] = np.cosh(ka * w)
+        s[neg] = np.sinh(ka * w) / ka
+    if mid.any():
+        tm = t[mid]
+        c[mid] = 1.0 - tm / 2.0 + tm * tm / 24.0
+        s[mid] = w * (1.0 - tm / 6.0 + tm * tm / 120.0)
+    return c, s
+
+
 def _transfer_product(widths, q2s):
     """Ordered product of slab matrices, left to right.
 
@@ -90,38 +96,35 @@ def _transfer_product(widths, q2s):
     return m11, m12, m21, m22, log_scale
 
 
-@njit(cache=True)
-def _cell_traces(widths, heights, energies):
-    """Unit-cell transfer-matrix trace per energy (Bloch scan).
+def _clip_trace(tr, log_scale):
+    """True trace exp(log_scale) * tr of a scaled product, for scalars or
+    arrays.  Traces that would overflow are clipped to +-1e300; they sit
+    far outside the |trace| <= 2 window either way."""
+    over = log_scale + np.log(np.maximum(np.abs(tr), 1e-300)) > 690.0
+    return np.where(over, np.where(tr > 0.0, 1e300, -1e300),
+                    tr * np.exp(np.where(over, 0.0, log_scale)))
 
-    Traces whose scale guard tripped are clipped to +-1e300; they sit far
-    outside the |trace| <= 2 window either way.
-    """
-    out = np.empty(energies.shape[0])
-    for j in range(energies.shape[0]):
-        E = energies[j]
-        m11 = 1.0; m12 = 0.0; m21 = 0.0; m22 = 1.0
-        log_scale = 0.0
-        for i in range(widths.shape[0]):
-            c, s = _cs_entries(E - heights[i], widths[i])
-            d = -(E - heights[i]) * s
-            n11 = c * m11 + s * m21
-            n12 = c * m12 + s * m22
-            n21 = d * m11 + c * m21
-            n22 = d * m12 + c * m22
-            m11, m12, m21, m22 = n11, n12, n21, n22
-            big = max(max(abs(m11), abs(m12)), max(abs(m21), abs(m22)))
-            if big > _SCALE_LIMIT:
-                m11 /= big; m12 /= big; m21 /= big; m22 /= big
-                log_scale += math.log(big)
-        tr = m11 + m22
-        if log_scale > 0.0:
-            if log_scale + math.log(max(abs(tr), 1e-300)) > 690.0:
-                tr = 1e300 if tr > 0.0 else -1e300
-            else:
-                tr *= math.exp(log_scale)
-        out[j] = tr
-    return out
+
+def _cell_traces(widths, heights, energies):
+    """Unit-cell transfer-matrix trace per energy (Bloch scan): the
+    :func:`_transfer_product` loop over slabs, run on all energies at once."""
+    m11 = np.ones(energies.shape[0]); m12 = np.zeros_like(m11)
+    m21 = np.zeros_like(m11); m22 = np.ones_like(m11)
+    log_scale = np.zeros_like(m11)
+    for w, h in zip(widths, heights):
+        q2 = energies - h
+        c, s = _cs(q2, w)
+        d = -q2 * s
+        m11, m12, m21, m22 = (c * m11 + s * m21, c * m12 + s * m22,
+                              d * m11 + c * m21, d * m12 + c * m22)
+        big = np.maximum(np.maximum(np.abs(m11), np.abs(m12)),
+                         np.maximum(np.abs(m21), np.abs(m22)))
+        over = big > _SCALE_LIMIT
+        if over.any():
+            big = np.where(over, big, 1.0)
+            m11 /= big; m12 /= big; m21 /= big; m22 /= big
+            log_scale += np.log(big)
+    return _clip_trace(m11 + m22, log_scale)
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +178,6 @@ _E5 = -277.0 / 14336.0
 _E6 = _B6 - 0.25
 
 
-@njit(cache=True)
 def _rhs_complex(x, rt, lnt, k, u0, sl, xa):
     U = u0 + sl * (x - xa)
     u = U / (2.0 * k)
@@ -186,7 +188,6 @@ def _rhs_complex(x, rt, lnt, k, u0, sl, xa):
     return drt, dlnt, dr
 
 
-@njit(cache=True)
 def _rhs_polar(form, x, y0, y1, y2, y3, k, u0, sl, xa):
     """RHS of the polar (form=1) or angle (form=2) system;
     state (rho|alpha, phi_rev, phi, delta)."""
@@ -216,7 +217,6 @@ def _rhs_polar(form, x, y0, y1, y2, y3, k, u0, sl, xa):
     return d0, d1, d2, d3
 
 
-@njit(cache=True)
 def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, cap):
     """Integrate across all linear pieces; record every accepted step.
 
@@ -432,7 +432,6 @@ def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, c
 # untouched).
 
 
-@njit(cache=True)
 def _rk4_region(psi, dpsi, q2, w, n):
     """Advance (psi, psi') across one constant-q^2 region with n RK4 steps."""
     h = w / n
@@ -451,7 +450,6 @@ def _rk4_region(psi, dpsi, q2, w, n):
     return psi, dpsi
 
 
-@njit(cache=True)
 def _shoot_mismatch(widths, q2rows, bc_left_psi, bc_left_dpsi,
                     bc_right_psi, bc_right_dpsi, match_region, match_frac,
                     max_phase_step):
@@ -495,17 +493,3 @@ def _shoot_mismatch(widths, q2rows, bc_left_psi, bc_left_dpsi,
         out[j] = (psi_l * dpsi_r - psi_r * dpsi_l) / norm
     return out
 
-
-def warm_up():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    w = np.array([0.5, 0.5])
-    q2 = np.array([1.0, -1.0])
-    _transfer_product(w, q2)
-    _cell_traces(w, np.array([0.0, 2.0]), np.array([0.5, 1.5]))
-    x0 = np.array([0.0, 0.5])
-    u0 = np.array([1.0, 0.0])
-    sl = np.array([0.0, 0.0])
-    for form in (RICCATI_COMPLEX, RICCATI_REAL, RICCATI_ALPHA):
-        _riccati_path(x0, w, u0, sl, 0.7, form, 1e-8, 1e-10, 2e-6, 1e-6, 4096)
-    _shoot_mismatch(w, np.array([[1.0, -1.0]]), np.array([0.0]), np.array([1.0]),
-                    np.array([0.0]), np.array([1.0]), 1, 0.5, 0.01)

@@ -10,14 +10,14 @@ Commands
     barrier1d ensemble  --config cfg.ini ...
 
 Common flags (override the [sweep] section): ``--out``, ``--format``,
-``--seed``, ``--tol``, ``--threads``.  Identical config + seed produces
+``--seed``, ``--tol``.  Identical config + seed produces
 byte-identical output; every output embeds its full effective
 configuration as ``# cfg section.key = value`` header lines, so a run can
 be reproduced from its own header alone.
 
 Config file grammar (INI / key=value sections)
 ----------------------------------------------
-[sweep]        out, format (csv|json), seed, tol, threads
+[sweep]        out, format (csv|json), seed, tol
 [potential]    units (natural|ev_angstrom|erg_cm), v_left, v_right and
                either ``file = <potential file>`` or
                ``segments = const W H ; gap W ; linear W START SLOPE ;
@@ -59,9 +59,9 @@ import numpy as np
 from . import __version__
 from .compose import HeightDistribution, averaged_transmittance_center_fluct
 from .oracle import solve_exact
-from .potential import (EV_ANGSTROM, ERG_CM, NATURAL, Constant, Linear,
-                        Potential, Sampled, Segment, UnitSystem, convert_in,
-                        convert_out, load_potential)
+from .potential import (_SEGMENT_FIELDS, EV_ANGSTROM, ERG_CM, NATURAL,
+                        Constant, Potential, Segment, UnitSystem, _segment,
+                        convert_in, convert_out, load_potential)
 from .resonance import (find_resonant_E, find_resonant_L, pair_chain,
                         rect_pair_resonant_L, resonance_density)
 from .riccati import integrate_alpha_form, integrate_complex, integrate_real
@@ -80,34 +80,14 @@ class ConfigError(ValueError):
 def _parse_segments(spec: str, units: str) -> tuple[Segment, ...]:
     segs = []
     for rec in spec.split(";"):
-        rec = rec.strip()
-        if not rec:
-            continue
         toks = rec.split()
-        kind = toks[0].lower()
+        if not toks:
+            continue
+        names = _SEGMENT_FIELDS.get(toks[0].lower(), ())
         try:
-            if kind in ("const", "constant"):
-                w = float(convert_in(units, US, length=float(toks[1])))
-                h = float(convert_in(units, US, energy=float(toks[2])))
-                segs.append(Segment(w, Constant(h)))
-            elif kind == "gap":
-                w = float(convert_in(units, US, length=float(toks[1])))
-                segs.append(Segment(w, Constant(0.0)))
-            elif kind == "linear":
-                w = float(convert_in(units, US, length=float(toks[1])))
-                h0 = float(convert_in(units, US, energy=float(toks[2])))
-                sl = float(toks[3]) * float(convert_in(units, US, energy=1.0)) \
-                    / float(convert_in(units, US, length=1.0))
-                segs.append(Segment(w, Linear(h0, sl)))
-            elif kind == "sampled":
-                w = float(convert_in(units, US, length=float(toks[1])))
-                hs = tuple(float(convert_in(units, US, energy=float(h)))
-                           for h in toks[2].split(","))
-                segs.append(Segment(w, Sampled(hs)))
-            else:
-                raise ConfigError(f"unknown segment kind {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise ConfigError(f"bad segment record {rec!r}: {exc}") from exc
+            segs.append(_segment(toks[0], dict(zip(names, toks[1:])), units, US))
+        except ValueError as exc:
+            raise ConfigError(f"bad segment record {rec.strip()!r}: {exc}") from exc
     if not segs:
         raise ConfigError("no segments given")
     return tuple(segs)
@@ -403,9 +383,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--format", default=None, choices=["csv", "json"])
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--tol", type=float, default=None)
-    ap.add_argument("--threads", type=int, default=None,
-                    help="accepted for interface stability; evaluation is "
-                         "serial and deterministic")
     args = ap.parse_args(argv)
 
     cfg = configparser.ConfigParser()
@@ -421,9 +398,6 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else int(sweep.get("seed", "0"))
         tol = args.tol if args.tol is not None else (
             float(sweep["tol"]) if "tol" in sweep else None)
-        threads = args.threads if args.threads is not None else int(sweep.get("threads", "1"))
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
         # record the effective overrides so outputs are self-describing
         if not cfg.has_section("sweep"):
             cfg.add_section("sweep")

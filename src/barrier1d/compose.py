@@ -40,6 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._kernels import _cs
 from .oracle import ScatterData, solve_exact
 from .potential import Potential
 
@@ -300,13 +301,7 @@ def _slab_pair_d(s_left: ScatterData, s_right: ScatterData, width: float,
                  heights: np.ndarray, E: float, k: float) -> np.ndarray:
     """Vectorised D of [left][thin slab (height array)][right], zero gaps."""
     q2 = E - np.asarray(heights, dtype=float)
-    q = np.sqrt(q2.astype(complex))
-    qw = q * width
-    small = np.abs(q2) * width * width < 1e-8
-    qw_safe = np.where(small, 1.0, qw)
-    c = np.where(small, 1.0 - q2 * width * width / 2.0, np.cos(qw_safe).real)
-    s = np.where(small, width * (1.0 - q2 * width * width / 6.0),
-                 (np.sin(qw_safe) / qw_safe).real * width)
+    c, s = _cs(q2, width)
     # amplitude matrix of the symmetric slab embedded in medium k
     u = k * s + q2 * s / k
     v = k * s - q2 * s / k

@@ -36,7 +36,7 @@ import numpy as np
 from ._kernels import _transfer_product
 from .potential import Potential
 
-__all__ = ["ScatterData", "ConditioningError", "solve_exact", "transmittance", "free_data"]
+__all__ = ["ScatterData", "ConditioningError", "solve_exact", "free_data"]
 
 
 class ConditioningError(RuntimeError):
@@ -74,12 +74,6 @@ class ScatterData:
     def reversed(self) -> "ScatterData":
         return replace(self, T=self.T_rev, R=self.R_rev, T_rev=self.T,
                        R_rev=self.R, k_left=self.k_right, k_right=self.k_left)
-
-
-def transmittance(s: ScatterData) -> float:
-    """Energy transmittance D = (k_right/k_left) |T|^2 (equals |T|^2 for
-    matched media)."""
-    return s.D
 
 
 def free_data(k: float, length: float = 0.0) -> ScatterData:

@@ -358,6 +358,50 @@ def convert_out(units: str, us: UnitSystem, energy=None, length=None):
 
 
 # ----------------------------------------------------------------------
+# segment records
+#
+# A segment record is a kind plus named number fields in a declared unit
+# system.  The potential file names the fields (``width=2.8``); the CLI
+# ``segments`` key lists them positionally in the order below.
+
+_SEGMENT_FIELDS = {
+    "const": ("width", "height"),
+    "constant": ("width", "height"),
+    "gap": ("width",),
+    "linear": ("width", "start", "slope"),
+    "sampled": ("width", "heights"),
+}
+
+
+def _segment(kind: str, fields: dict[str, str], units: str, us: UnitSystem) -> Segment:
+    """One segment from its record fields, converted to internal units.
+
+    Raises ValueError for an unknown kind, a missing field or a bad number.
+    """
+    kind = kind.lower()
+    if kind not in _SEGMENT_FIELDS:
+        raise ValueError(f"unknown segment kind {kind!r}")
+    if not set(_SEGMENT_FIELDS[kind]) <= fields.keys():
+        raise ValueError(f"{kind} segment needs {', '.join(_SEGMENT_FIELDS[kind])}")
+
+    def e_in(v): return float(convert_in(units, us, energy=float(v)))
+
+    width = float(convert_in(units, us, length=float(fields["width"])))
+    if kind == "gap":
+        profile = Constant(0.0)
+    elif kind == "linear":
+        # slope converts as energy/length
+        slope = float(fields["slope"]) * e_in(1.0) / float(convert_in(units, us, length=1.0))
+        profile = Linear(e_in(fields["start"]), slope)
+    elif kind == "sampled":
+        profile = Sampled(tuple(e_in(h) for h in fields["heights"].split(",")))
+    else:
+        profile = Constant(e_in(fields["height"]))
+    comp = fields.get("compressible")
+    return Segment(width, profile, None if comp is None else comp.lower() in ("1", "true", "yes"))
+
+
+# ----------------------------------------------------------------------
 # potential definition file
 #
 # Line-oriented text, '#' starts a comment.  Header lines are
@@ -378,9 +422,6 @@ def load_potential(path: str | Path, us: UnitSystem | None = None) -> Potential:
     v_right = 0.0
     segs: list[Segment] = []
 
-    def e_in(v):  return float(convert_in(units, us, energy=float(v)))
-    def x_in(v):  return float(convert_in(units, us, length=float(v)))
-
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -393,37 +434,19 @@ def load_potential(path: str | Path, us: UnitSystem | None = None) -> Potential:
                 if units not in (NATURAL, EV_ANGSTROM, ERG_CM):
                     raise ValueError(f"unknown units {units!r}")
             elif key == "v_left":
-                v_left = e_in(parts[1])
+                v_left = float(convert_in(units, us, energy=float(parts[1])))
             elif key == "v_right":
-                v_right = e_in(parts[1])
+                v_right = float(convert_in(units, us, energy=float(parts[1])))
             elif key == "segment":
-                kind = parts[1].lower()
-                kv = {}
+                fields = {}
                 for tok in parts[2:]:
                     k, _, v = tok.partition("=")
-                    kv[k.lower()] = v
-                width = x_in(kv["width"])
-                comp = None
-                if "compressible" in kv:
-                    comp = kv["compressible"].lower() in ("1", "true", "yes")
-                if kind in ("const", "constant"):
-                    segs.append(Segment(width, Constant(e_in(kv["height"])), comp))
-                elif kind == "gap":
-                    segs.append(Segment(width, Constant(0.0), comp))
-                elif kind == "linear":
-                    # slope converts as energy/length
-                    sl = float(kv["slope"]) * float(convert_in(units, us, energy=1.0)) \
-                        / float(convert_in(units, us, length=1.0))
-                    segs.append(Segment(width, Linear(e_in(kv["start"]), sl), comp))
-                elif kind == "sampled":
-                    hs = tuple(e_in(h) for h in kv["heights"].split(","))
-                    segs.append(Segment(width, Sampled(hs), comp))
-                else:
-                    raise ValueError(f"unknown segment kind {kind!r}")
+                    fields[k.lower()] = v
+                segs.append(_segment(parts[1], fields, units, us))
             else:
                 raise ValueError(f"unknown record {key!r}")
-        except (IndexError, KeyError) as exc:
-            raise ValueError(f"{path}:{lineno}: malformed record {line!r}") from exc
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed record {line!r}: {exc}") from exc
     return Potential(tuple(segs), v_left, v_right)
 
 

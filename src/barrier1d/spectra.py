@@ -39,7 +39,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from ._kernels import _cell_traces, _shoot_mismatch
+from ._kernels import (_cell_traces, _clip_trace, _cs, _shoot_mismatch,
+                       _transfer_product)
 from .potential import Potential, compress
 
 __all__ = [
@@ -129,28 +130,6 @@ class LevelSet:
 # ----------------------------------------------------------------------
 # determinant route
 
-def _cs_vec(q2: np.ndarray, w: float):
-    t = q2 * w * w
-    c = np.empty_like(q2)
-    s = np.empty_like(q2)
-    pos = t > 1e-6
-    neg = t < -1e-6
-    mid = ~(pos | neg)
-    if pos.any():
-        q = np.sqrt(q2[pos])
-        c[pos] = np.cos(q * w)
-        s[pos] = np.sin(q * w) / q
-    if neg.any():
-        ka = np.sqrt(-q2[neg])
-        c[neg] = np.cosh(ka * w)
-        s[neg] = np.sinh(ka * w) / ka
-    if mid.any():
-        tm = t[mid]
-        c[mid] = 1.0 - tm / 2.0 + tm * tm / 24.0
-        s[mid] = w * (1.0 - tm / 6.0 + tm * tm / 120.0)
-    return c, s
-
-
 def _matching_dets(ws: WellSystem, E: np.ndarray) -> np.ndarray:
     """Determinant of the full continuity system at each depth E.
 
@@ -175,7 +154,7 @@ def _matching_dets(ws: WellSystem, E: np.ndarray) -> np.ndarray:
     else:
         m[:, 0, 0] = 1.0
     for r in range(n_r - 1):
-        c, s = _cs_vec(q2[:, r], widths[r])
+        c, s = _cs(q2[:, r], widths[r])
         # rows 0..off hold the left-edge conditions (1 for a hard wall,
         # 2 for decay matching); interface pairs follow
         ra = (1 + off) + 2 * r
@@ -187,7 +166,7 @@ def _matching_dets(ws: WellSystem, E: np.ndarray) -> np.ndarray:
         m[:, rb, col] = -q2[:, r] * s
         m[:, rb, col + 1] = c
         m[:, rb, col + 3] = -1.0
-    c, s = _cs_vec(q2[:, n_r - 1], widths[n_r - 1])
+    c, s = _cs(q2[:, n_r - 1], widths[n_r - 1])
     col = off + 2 * (n_r - 1)
     if finite:
         kappa = np.sqrt(E)
@@ -408,7 +387,8 @@ def band_structure(cell: Potential, E_range: tuple[float, float],
     allowed = np.abs(tr) <= 2.0
 
     def g(e: float) -> float:
-        return abs(float(_cell_traces(widths, heights, np.array([e]))[0])) - 2.0
+        m11, _, _, m22, log_scale = _transfer_product(widths, e - heights)
+        return abs(float(_clip_trace(m11 + m22, log_scale))) - 2.0
 
     bands: list[tuple[float, float]] = []
     i = 0

@@ -1,6 +1,7 @@
 import json
 
-from barrier1d.cli import config_from_header, main
+from barrier1d.cli import _parse_segments, config_from_header, main
+from barrier1d.potential import load_potential
 
 FIG_PAIR = """
 [sweep]
@@ -78,6 +79,8 @@ def test_rerun_from_own_header(tmp_path):
 def test_config_error_exit_code(tmp_path):
     assert main(["transmit", "--config", str(tmp_path / "missing.ini")]) == 2
     bad = write(tmp_path, "bad.ini", "[potential]\nsegments = wedge 1 2\n\n[transmit]\nenergy = 0.3\n")
+    assert main(["transmit", "--config", bad]) == 2
+    bad = write(tmp_path, "bad2.ini", "[potential]\nsegments = linear 1 2\n\n[transmit]\nenergy = 0.3\n")
     assert main(["transmit", "--config", bad]) == 2
 
 
@@ -228,3 +231,13 @@ def test_ensemble_seeded_reproducibility(tmp_path):
            if ln and not ln.startswith("#")][1].split(",")
     mean_d, half, d_at_mean = float(row[0]), float(row[1]), float(row[2])
     assert mean_d < d_at_mean
+
+
+def test_segments_key_and_potential_file_build_the_same_potential(tmp_path):
+    pot = write(tmp_path, "p.txt", "units ev_angstrom\n"
+                "segment const width=2.8 height=0.9\n"
+                "segment gap width=3.0\n"
+                "segment linear width=4.0 start=0.2 slope=0.15\n"
+                "segment sampled width=1.5 heights=0.1,0.4,0.2\n")
+    spec = "const 2.8 0.9 ; gap 3.0 ; linear 4.0 0.2 0.15 ; sampled 1.5 0.1,0.4,0.2"
+    assert _parse_segments(spec, "ev_angstrom") == load_potential(pot).segments

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from barrier1d.oracle import ScatterData, free_data, solve_exact, transmittance
+from barrier1d.oracle import ScatterData, free_data, solve_exact
 from barrier1d.potential import Constant, Linear, Potential, Segment
 
 from conftest import random_slab_potential, rect_barrier_D, step_D
@@ -31,7 +31,7 @@ def test_single_rect_barrier_matches_closed_form(units):
 def test_step_transmission_flux_form():
     E, v_r = 0.5, 0.2
     s = solve_exact(Potential((), 0.0, v_r), E)
-    assert transmittance(s) == pytest.approx(step_D(E, v_r), rel=1e-13)
+    assert s.D == pytest.approx(step_D(E, v_r), rel=1e-13)
     # amplitude reciprocity holds in flux-normalised form
     t_flux = math.sqrt(s.k_right / s.k_left) * s.T
     t_flux_rev = math.sqrt(s.k_left / s.k_right) * s.T_rev
@@ -41,8 +41,8 @@ def test_step_transmission_flux_form():
 def test_transmittance_trivial_values():
     one = ScatterData(T=1.0, R=0.0, T_rev=1.0, R_rev=0.0, k_left=1.0, k_right=1.0)
     zero = ScatterData(T=0.0, R=1.0, T_rev=0.0, R_rev=1.0, k_left=1.0, k_right=1.0)
-    assert transmittance(one) == 1.0
-    assert transmittance(zero) == 0.0
+    assert one.D == 1.0
+    assert zero.D == 0.0
 
 
 def test_flux_conservation_randomized():

@@ -194,3 +194,6 @@ def test_load_potential_rejects_malformed(tmp_path):
     f.write_text("segment wedge width=1.0\n")
     with pytest.raises(ValueError):
         load_potential(f)
+    f.write_text("units natural\nsegment linear width=1 start=2\n")
+    with pytest.raises(ValueError, match=r"bad\.txt:2: .*linear segment needs"):
+        load_potential(f)
