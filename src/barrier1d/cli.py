@@ -77,6 +77,27 @@ class ConfigError(ValueError):
 # ----------------------------------------------------------------------
 # config helpers
 
+def _parse(raw: str, key: str, kind=float):
+    """``kind(raw)``; a value that does not parse is a configuration error."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{key} = {raw!r} is not a valid "
+                          f"{kind.__name__}") from None
+
+
+def _number(sec, key, kind=float, default=None):
+    """``kind`` value of ``key`` in a config section (KeyError when it is
+    missing and has no default)."""
+    return _parse(sec[key] if default is None else sec.get(key, default), key, kind)
+
+
+def _numbers(sec, key, kind=float, default=None):
+    """Comma-separated list of ``kind`` values of ``key``."""
+    raw = sec[key] if default is None else sec.get(key, default)
+    return [_parse(v, key, kind) for v in raw.split(",")]
+
+
 def _parse_segments(spec: str, units: str) -> tuple[Segment, ...]:
     segs = []
     for rec in spec.split(";"):
@@ -106,8 +127,8 @@ def _potential_from_section(cfg: configparser.ConfigParser,
         return load_potential(sec["file"], US), units
     if "segments" not in sec:
         raise ConfigError(f"[{section}] needs 'segments' or 'file'")
-    v_l = float(convert_in(units, US, energy=sec.getfloat("v_left", 0.0)))
-    v_r = float(convert_in(units, US, energy=sec.getfloat("v_right", 0.0)))
+    v_l = _e_in(units, _number(sec, "v_left", default="0"))
+    v_r = _e_in(units, _number(sec, "v_right", default="0"))
     return Potential(_parse_segments(sec["segments"], units), v_l, v_r), units
 
 
@@ -165,30 +186,49 @@ def _write_table(path, fmt, header_lines, columns, rows):
 # ----------------------------------------------------------------------
 # commands
 
+def _transmit_cells(pot, energies):
+    """[D, ReT, ImT, ReR, ImR, status] per energy from one grid solve.  When
+    the grid raises, each energy is solved alone, so that only the rows
+    that fail read ``error:<type>``."""
+    try:
+        s = solve_exact(pot, np.array(energies))
+    except Exception:  # numerical failure rows keep the sweep alive
+        return [_transmit_cells_at(pot, E) for E in energies]
+    return [[D, T.real, T.imag, R.real, R.imag, "ok"]
+            for D, T, R in zip(s.D, s.T, s.R)]
+
+
+def _transmit_cells_at(pot, E):
+    try:
+        s = solve_exact(pot, E)
+    except Exception as exc:
+        return ["", "", "", "", "", f"error:{type(exc).__name__}"]
+    return [s.D, s.T.real, s.T.imag, s.R.real, s.R.imag, "ok"]
+
+
 def run_transmit(cfg, out, fmt, tol):
     p, units = _potential_from_section(cfg, "potential")
     sec = cfg["transmit"] if cfg.has_section("transmit") else {}
     if "energy" in sec:
-        energies = [_e_in(units, float(sec["energy"]))]
+        energies = [_e_in(units, _number(sec, "energy"))]
     else:
         if "e_min" not in sec:
             raise ConfigError("[transmit] needs 'energy' or e_min/e_max/e_steps")
-        n = int(sec.get("e_steps", "50"))
+        n = _number(sec, "e_steps", int, "50")
         if n < 1:
             raise ConfigError("e_steps must be >= 1")
         energies = [_e_in(units, v) for v in
-                    np.linspace(float(sec["e_min"]), float(sec["e_max"]), n)]
+                    np.linspace(_number(sec, "e_min"), _number(sec, "e_max"), n)]
     gaps = [None]
     gap_idx = None
     if "l_min" in sec:
-        gap_idx = int(sec.get("gap_segment", "-1"))
+        gap_idx = _number(sec, "gap_segment", int, "-1")
         if gap_idx < 0 or gap_idx >= len(p.segments):
             raise ConfigError("gap_segment must index a segment of the potential")
-        nl = int(sec.get("l_steps", "50"))
+        nl = _number(sec, "l_steps", int, "50")
         gaps = [_x_in(units, v) for v in
-                np.linspace(float(sec["l_min"]), float(sec["l_max"]), nl)]
+                np.linspace(_number(sec, "l_min"), _number(sec, "l_max"), nl)]
     rows = []
-    failures = 0
     for L in gaps:
         if L is None:
             pot = p
@@ -198,18 +238,11 @@ def run_transmit(cfg, out, fmt, tol):
             segs[gap_idx] = Segment(L, segs[gap_idx].profile, segs[gap_idx].compressible)
             pot = Potential(tuple(segs), p.v_left, p.v_right)
             l_out = _x_out(units, L)
-        for E in energies:
-            try:
-                s = solve_exact(pot, E)
-                rows.append([_e_out(units, E), l_out, s.D, s.T.real, s.T.imag,
-                             s.R.real, s.R.imag, "ok"])
-            except Exception as exc:  # numerical failure rows keep the sweep alive
-                failures += 1
-                rows.append([_e_out(units, E), l_out, "", "", "", "", "",
-                             f"error:{type(exc).__name__}"])
+        for E, cells in zip(energies, _transmit_cells(pot, energies)):
+            rows.append([_e_out(units, E), l_out] + cells)
     _write_table(out, fmt, _echo_lines(cfg, "transmit"),
                  ["E", "L", "D", "ReT", "ImT", "ReR", "ImR", "status"], rows)
-    return 3 if failures == len(rows) else 0
+    return 3 if all(row[-1] != "ok" for row in rows) else 0
 
 
 def run_resonance(cfg, out, fmt, tol):
@@ -223,16 +256,19 @@ def run_resonance(cfg, out, fmt, tol):
             rec = rec.strip()
             if not rec:
                 continue
-            u_s, a_s, e_s = rec.split()
-            u = _e_in(units, float(u_s)); a = _x_in(units, float(a_s))
-            e = _e_in(units, float(e_s))
+            fields = rec.split()
+            if len(fields) != 3:
+                raise ConfigError(f"case {rec!r} needs three numbers: U a E")
+            u_c, a_c, e_c = (_parse(v, "cases") for v in fields)
+            u = _e_in(units, u_c); a = _x_in(units, a_c)
+            e = _e_in(units, e_c)
             n = 0 if e >= u / 2.0 else 1
             l_closed = rect_pair_resonant_L(u, a, e, n)
             barrier = Potential((Segment(a, Constant(u)),))
             s = solve_exact(barrier, e)
             fam = find_resonant_L(s, s, e, (0.0, 4.0 * l_closed + 1.0))
             l_search = float(fam.members()[np.argmin(np.abs(fam.members() - l_closed))])
-            rows.append([float(u_s), float(a_s), float(e_s),
+            rows.append([u_c, a_c, e_c,
                          _x_out(units, l_closed), _x_out(units, l_search),
                          abs(_x_out(units, l_closed) - _x_out(units, l_search))])
         _write_table(out, fmt, echo, ["U", "a", "E", "L_closed", "L_search", "delta"], rows)
@@ -241,9 +277,9 @@ def run_resonance(cfg, out, fmt, tol):
         p, units = _potential_from_section(cfg, "potential")
         p2, _ = (_potential_from_section(cfg, "potential2")
                  if cfg.has_section("potential2") else (p, units))
-        e = _e_in(units, float(sec["energy"]))
-        lo = _x_in(units, float(sec.get("l_min", "0")))
-        hi = _x_in(units, float(sec["l_max"]))
+        e = _e_in(units, _number(sec, "energy"))
+        lo = _x_in(units, _number(sec, "l_min", default="0"))
+        hi = _x_in(units, _number(sec, "l_max"))
         s1 = solve_exact(p, e)
         s2 = solve_exact(p2, e)
         fam = find_resonant_L(s1, s2, e, (lo, hi))
@@ -256,21 +292,22 @@ def run_resonance(cfg, out, fmt, tol):
         return 0
     if mode == "energies":
         p, units = _potential_from_section(cfg, "potential")
-        lo = _e_in(units, float(sec["e_min"]))
-        hi = _e_in(units, float(sec["e_max"]))
-        peaks = find_resonant_E(p, (lo, hi), int(sec.get("grid", "400")))
+        lo = _e_in(units, _number(sec, "e_min"))
+        hi = _e_in(units, _number(sec, "e_max"))
+        peaks = find_resonant_E(p, (lo, hi), _number(sec, "grid", int, "400"))
         rows = [[_e_out(units, e), solve_exact(p, e).D, i, -1]
                 for i, e in enumerate(peaks)]
         _write_table(out, fmt, echo, ["E_or_L", "D", "family_index", "n"], rows)
         return 0
     if mode == "density":
         units = sec.get("units", EV_ANGSTROM)
-        u = _e_in(units, float(sec["u"])); a = _x_in(units, float(sec["a"]))
-        li = _x_in(units, float(sec["l_intra"])); lx = _x_in(units, float(sec["l_inter"]))
-        ns = [int(v) for v in sec["n_list"].split(",")]
-        lo = _e_in(units, float(sec["e_min"])); hi = _e_in(units, float(sec["e_max"]))
+        u = _e_in(units, _number(sec, "u")); a = _x_in(units, _number(sec, "a"))
+        li = _x_in(units, _number(sec, "l_intra"))
+        lx = _x_in(units, _number(sec, "l_inter"))
+        ns = _numbers(sec, "n_list", int)
+        lo = _e_in(units, _number(sec, "e_min")); hi = _e_in(units, _number(sec, "e_max"))
         table = resonance_density(lambda n: pair_chain(u, a, li, lx, n), ns,
-                                  (lo, hi), int(sec.get("grid", "2000")))
+                                  (lo, hi), _number(sec, "grid", int, "2000"))
         rows = [[r.n_barriers, r.count,
                  "" if math.isnan(r.min_spacing) else _e_out(units, r.min_spacing)]
                 for r in table]
@@ -282,7 +319,7 @@ def run_resonance(cfg, out, fmt, tol):
 def run_riccati(cfg, out, fmt, tol):
     p, units = _potential_from_section(cfg, "potential")
     sec = cfg["riccati"] if cfg.has_section("riccati") else {}
-    e = _e_in(units, float(sec["energy"]))
+    e = _e_in(units, _number(sec, "energy"))
     form = sec.get("form", "real")
     rtol = tol if tol is not None else 1e-10
     if form == "complex":
@@ -303,18 +340,18 @@ def run_riccati(cfg, out, fmt, tol):
 def run_wells(cfg, out, fmt, tol):
     sec = cfg["wells"] if cfg.has_section("wells") else {}
     units = sec.get("units", ERG_CM)
-    depths = [_e_in(units, float(v)) for v in sec["depths"].split(",")]
-    widths = [_x_in(units, float(v)) for v in sec["widths"].split(",")]
-    barriers = [_x_in(units, float(v)) for v in sec["barriers"].split(",")] \
+    depths = [_e_in(units, v) for v in _numbers(sec, "depths")]
+    widths = [_x_in(units, v) for v in _numbers(sec, "widths")]
+    barriers = [_x_in(units, v) for v in _numbers(sec, "barriers")] \
         if sec.get("barriers", "").strip() else []
     ws = WellSystem(tuple(zip(depths, widths)), tuple(barriers),
                     outer=sec.get("outer", "infinite"))
     vary = sec.get("vary", "coherent")
-    vary_arg = "coherent" if vary == "coherent" else int(vary)
-    lo = _x_in(units, float(sec["v_min"]))
-    hi = _x_in(units, float(sec["v_max"]))
-    scan = level_scan(ws, vary_arg, (lo, hi), int(sec.get("steps", "20")),
-                      int(sec.get("e_grid", "800")))
+    vary_arg = "coherent" if vary == "coherent" else _number(sec, "vary", int)
+    lo = _x_in(units, _number(sec, "v_min"))
+    hi = _x_in(units, _number(sec, "v_max"))
+    scan = level_scan(ws, vary_arg, (lo, hi), _number(sec, "steps", int, "20"),
+                      _number(sec, "e_grid", int, "800"))
     rows = [[_x_out(units, r.scan_value), r.level_index,
              _e_out(units, r.energy), r.event] for r in scan.rows]
     _write_table(out, fmt, _echo_lines(cfg, "wells"),
@@ -325,10 +362,10 @@ def run_wells(cfg, out, fmt, tol):
 def run_bands(cfg, out, fmt, tol):
     p, units = _potential_from_section(cfg, "potential")
     sec = cfg["bands"] if cfg.has_section("bands") else {}
-    factors = [float(v) for v in sec.get("factors", "1.0").split(",")]
-    lo = _e_in(units, float(sec["e_min"]))
-    hi = _e_in(units, float(sec["e_max"]))
-    scan = compression_scan(p, factors, (lo, hi), int(sec.get("grid", "2000")))
+    factors = _numbers(sec, "factors", default="1.0")
+    lo = _e_in(units, _number(sec, "e_min"))
+    hi = _e_in(units, _number(sec, "e_max"))
+    scan = compression_scan(p, factors, (lo, hi), _number(sec, "grid", int, "2000"))
     rows = []
     for f, bs in scan:
         for i, (e_lo, e_hi) in enumerate(bs.bands):
@@ -343,12 +380,12 @@ def run_ensemble(cfg, out, fmt, tol, seed):
     left, units = _potential_from_section(cfg, "outer_left")
     right, _ = _potential_from_section(cfg, "outer_right")
     dist = HeightDistribution(sec.get("dist", "uniform"),
-                              _e_in(units, float(sec["mean"])),
-                              _e_in(units, float(sec["spread"])))
+                              _e_in(units, _number(sec, "mean")),
+                              _e_in(units, _number(sec, "spread")))
     res = averaged_transmittance_center_fluct(
-        left, right, _x_in(units, float(sec["center_width"])), dist,
-        _e_in(units, float(sec["energy"])),
-        samples=int(sec.get("samples", "100000")), seed=seed)
+        left, right, _x_in(units, _number(sec, "center_width")), dist,
+        _e_in(units, _number(sec, "energy")),
+        samples=_number(sec, "samples", int, "100000"), seed=seed)
     rows = [[res.mean_D, res.half_width, res.D_at_mean, res.samples, res.seed]]
     _write_table(out, fmt, _echo_lines(cfg, "ensemble"),
                  ["mean_D", "half_width", "D_at_mean", "samples", "seed"], rows)
@@ -395,9 +432,9 @@ def main(argv: list[str] | None = None) -> int:
         fmt = args.format or sweep.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {fmt!r}")
-        seed = args.seed if args.seed is not None else int(sweep.get("seed", "0"))
+        seed = args.seed if args.seed is not None else _number(sweep, "seed", int, "0")
         tol = args.tol if args.tol is not None else (
-            float(sweep["tol"]) if "tol" in sweep else None)
+            _number(sweep, "tol") if "tol" in sweep else None)
         # record the effective overrides so outputs are self-describing
         if not cfg.has_section("sweep"):
             cfg.add_section("sweep")

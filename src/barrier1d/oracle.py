@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import _transfer_product
+from ._kernels import _transfer_product, _transfer_products
 from .potential import Potential
 
 __all__ = ["ScatterData", "ConditioningError", "solve_exact", "free_data"]
@@ -50,7 +50,8 @@ class ScatterData:
     ``T``/``R`` describe a wave incident from the left, ``T_rev``/``R_rev``
     one incident from the right.  ``extent`` is the barrier length the
     transmission phase is referenced across; ``loss`` is the flux deficit
-    W in |T|^2 + |R|^2 = 1 - W (0 for any unitary solve).
+    W in |T|^2 + |R|^2 = 1 - W (0 for any unitary solve).  A solve over an
+    energy grid holds arrays over the energies in every other field.
     """
 
     T: complex
@@ -96,32 +97,62 @@ def _amplitude_m(m11, m12, m21, m22, k_l, k_r):
     return a11, a12, a21, a22
 
 
-def solve_exact(p: Potential, E: float, n_slab: int = 2048) -> ScatterData:
+_LOST_CONDITIONING = ("slab product lost conditioning (very wide/high barrier); "
+                      "work with log-scaled quantities or split the potential")
+
+
+def _below_floors(p: Potential, E) -> ValueError:
+    return ValueError(f"E = {E} must lie above both media floors "
+                      f"({p.v_left}, {p.v_right})")
+
+
+def _scatter_data(a12, a21, a22, k_l, k_r, scale, extent) -> ScatterData:
+    """Coefficients from the amplitude matrix and the inverse log scale."""
+    return ScatterData(T=(k_l / k_r) * scale / a22, R=-a21 / a22,
+                       T_rev=scale / a22, R_rev=a12 / a22,
+                       k_left=k_l, k_right=k_r, extent=extent)
+
+
+def solve_exact(p: Potential, E: float | np.ndarray,
+                n_slab: int = 2048) -> ScatterData:
     """Exact scattering coefficients of a piecewise potential at energy E.
 
     Non-constant segments are pre-discretised into ``n_slab`` constant
     slabs each (midpoint sampled).  Both media must be open channels
     (E above both floors).
+
+    ``E`` may also be a 1-D array of energies: one slab product,
+    vectorised over the grid, then serves every energy, and each field of
+    the returned :class:`ScatterData` except ``extent`` and ``loss`` is an
+    array over E.  An energy below a floor or a lost conditioning anywhere
+    in the grid raises, as it does for a single energy.
     """
+    if isinstance(E, np.ndarray) and E.ndim:
+        return _solve_grid(p, E, n_slab)
     if not (E > p.v_left and E > p.v_right):
-        raise ValueError(f"E = {E} must lie above both media floors "
-                         f"({p.v_left}, {p.v_right})")
+        raise _below_floors(p, E)
     k_l = math.sqrt(E - p.v_left)
     k_r = math.sqrt(E - p.v_right)
     widths, heights = p.as_slabs(n_slab)
-    if widths.size:
-        m11, m12, m21, m22, log_scale = _transfer_product(widths, E - heights)
-    else:
-        m11, m12, m21, m22, log_scale = 1.0, 0.0, 0.0, 1.0, 0.0
+    m11, m12, m21, m22, log_scale = _transfer_product(widths, E - heights)
     a11, a12, a21, a22 = _amplitude_m(m11, m12, m21, m22, k_l, k_r)
     if not (np.isfinite(a22) and abs(a22) > 0.0):
-        raise ConditioningError(
-            "slab product lost conditioning (very wide/high barrier); "
-            "work with log-scaled quantities or split the potential")
+        raise ConditioningError(_LOST_CONDITIONING)
     scale = math.exp(-log_scale) if log_scale < 700.0 else 0.0
-    T = (k_l / k_r) * scale / a22
-    T_rev = scale / a22
-    R = -a21 / a22
-    R_rev = a12 / a22
-    return ScatterData(T=T, R=R, T_rev=T_rev, R_rev=R_rev,
-                       k_left=k_l, k_right=k_r, extent=p.extent)
+    return _scatter_data(a12, a21, a22, k_l, k_r, scale, p.extent)
+
+
+def _solve_grid(p: Potential, E: np.ndarray, n_slab: int) -> ScatterData:
+    """:func:`solve_exact` over a 1-D energy array."""
+    open_ = (E > p.v_left) & (E > p.v_right)
+    if not open_.all():
+        raise _below_floors(p, E[~open_][0])
+    k_l = np.sqrt(E - p.v_left)
+    k_r = np.sqrt(E - p.v_right)
+    widths, heights = p.as_slabs(n_slab)
+    m11, m12, m21, m22, log_scale = _transfer_products(widths, heights, E)
+    a11, a12, a21, a22 = _amplitude_m(m11, m12, m21, m22, k_l, k_r)
+    if not (np.isfinite(a22) & (np.abs(a22) > 0.0)).all():
+        raise ConditioningError(_LOST_CONDITIONING)
+    scale = np.where(log_scale < 700.0, np.exp(-log_scale), 0.0)
+    return _scatter_data(a12, a21, a22, k_l, k_r, scale, p.extent)

@@ -190,7 +190,7 @@ def _polished_peaks(p: Potential, E_range: tuple[float, float], grid: int,
     if grid < 100:
         raise ValueError("grid must be >= 100")
     es = np.linspace(lo, hi, grid)
-    ds = np.array([solve_exact(p, float(e), n_slab).D for e in es])
+    ds = solve_exact(p, es, n_slab).D
     peaks: list[float] = []
     f = lambda e: solve_exact(p, float(e), n_slab).D
     for i in range(1, grid - 1):

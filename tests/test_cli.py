@@ -1,4 +1,5 @@
 import json
+import re
 
 from barrier1d.cli import _parse_segments, config_from_header, main
 from barrier1d.potential import load_potential
@@ -82,6 +83,12 @@ def test_config_error_exit_code(tmp_path):
     assert main(["transmit", "--config", bad]) == 2
     bad = write(tmp_path, "bad2.ini", "[potential]\nsegments = linear 1 2\n\n[transmit]\nenergy = 0.3\n")
     assert main(["transmit", "--config", bad]) == 2
+    # numbers that do not parse are configuration errors, not numerical ones
+    for key, value in (("e_steps", "abc"), ("e_min", "zero")):
+        body = re.sub(rf"^{key} = .*$", f"{key} = {value}", FIG_PAIR, flags=re.M)
+        assert f"{key} = {value}" in body
+        bad = write(tmp_path, f"bad_{key}.ini", body)
+        assert main(["transmit", "--config", bad]) == 2
 
 
 def test_numerical_failure_rows_are_marked(tmp_path):
@@ -101,6 +108,29 @@ e_steps = 3
     data = [ln for ln in out.read_text().splitlines()
             if ln and not ln.startswith("#")][1:]
     assert all("error:" in ln for ln in data)
+
+
+def test_mixed_row_status_keeps_good_rows(tmp_path):
+    # energies on both sides of the right medium floor: only the rows below
+    # it fail, so the run as a whole succeeds
+    cfg = write(tmp_path, "m.ini", """
+[potential]
+segments = const 1.0 0.5
+v_right = 0.9
+
+[transmit]
+e_min = 0.5
+e_max = 1.5
+e_steps = 5
+""")
+    out = tmp_path / "m.csv"
+    assert main(["transmit", "--config", cfg, "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln and not ln.startswith("#")][1:]
+    assert [r[0] for r in rows] == ["0.5", "0.75", "1.0", "1.25", "1.5"]
+    assert [r[7] for r in rows] == ["error:ValueError"] * 2 + ["ok"] * 3
+    assert all(r[2:7] == [""] * 5 for r in rows[:2])
+    assert all(0.0 < float(r[2]) < 1.0 for r in rows[2:])
 
 
 def test_resonance_closed_form_table(tmp_path):

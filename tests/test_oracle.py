@@ -7,7 +7,8 @@ import pytest
 from barrier1d.oracle import ScatterData, free_data, solve_exact
 from barrier1d.potential import Constant, Linear, Potential, Segment
 
-from conftest import random_slab_potential, rect_barrier_D, step_D
+from conftest import (random_slab_potential, random_smoothish_potential,
+                      rect_barrier_D, step_D)
 
 
 def test_free_propagation_phase():
@@ -111,3 +112,26 @@ def test_rejects_closed_channels():
     p = Potential((Segment(1.0, Constant(0.5)),), v_left=0.0, v_right=1.0)
     with pytest.raises(ValueError):
         solve_exact(p, 0.8)
+
+
+@pytest.mark.parametrize("make", [random_slab_potential, random_smoothish_potential])
+def test_energy_grid_solve_matches_single_energies(make):
+    rng = np.random.default_rng(13)
+    for _ in range(8):
+        p = make(rng)
+        p = Potential(p.segments, v_left=float(rng.uniform(-0.3, 0.1)),
+                      v_right=float(rng.uniform(-0.3, 0.1)))
+        es = np.sort(rng.uniform(0.15, 2.5, 12))
+        grid = solve_exact(p, es)
+        single = [solve_exact(p, float(e)) for e in es]
+        assert grid.extent == p.extent and grid.loss == 0.0
+        for name in ("T", "R", "T_rev", "R_rev", "k_left", "k_right"):
+            want = np.array([getattr(s, name) for s in single])
+            np.testing.assert_allclose(getattr(grid, name), want, rtol=1e-12, atol=0.0,
+                                       err_msg=name)
+
+
+def test_energy_grid_solve_rejects_a_closed_channel_anywhere():
+    p = Potential((Segment(1.0, Constant(0.5)),), v_left=0.0, v_right=1.0)
+    with pytest.raises(ValueError, match="0.8"):
+        solve_exact(p, np.array([1.5, 0.8, 2.0]))
