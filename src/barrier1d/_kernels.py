@@ -1,20 +1,25 @@
 """Hot numeric kernels: slab transfer-matrix products, the adaptive
 Riccati integrators and the bound-state shooting loop.
 
-Every kernel is a plain Python function over numpy scalars and arrays.
-The caller's input picks one of two paths.  An energy grid runs
+Every kernel is a plain Python function over Python numbers and numpy
+arrays.  The caller's input picks one of two paths.  An energy grid runs
 vectorised over its energies: the slab entries :func:`_cs`, the products
 :func:`_transfer_products` (and the Bloch traces :func:`_cell_traces`
 built on them) and the RK4 shooting rows :func:`_rk4_rows`.  A single
 energy -- one solve, or one evaluation inside a brentq or golden-section
-polish -- runs scalar float loops (:func:`_cs_entries`,
-:func:`_transfer_product`, :func:`_rk4_region`), because numpy's
-per-call overhead outweighs the work of one row.  Measured on a 2-core VM
-(best of several runs):
+polish -- runs scalar loops (:func:`_cs_entries`,
+:func:`_transfer_product`, :func:`_riccati_path`, :func:`_rk4_region`),
+because numpy's per-call overhead outweighs the work of one row.  The
+scalar loops take ``tolist()`` of their array arguments on entry, so they
+compute on Python floats and complex numbers: arithmetic on numpy scalars
+costs 3-4x more.  Measured on a 2-core VM (best of several runs):
 
-* ``solve_exact`` on a 12-barrier chain: one energy 72 us scalar against
-  670 us as a one-element grid; 2,000 energies 157 ms as single-energy
-  calls against 2.5 ms as one grid;
+* ``solve_exact`` on a 12-barrier chain (23 slabs): one energy 23 us
+  scalar against 600 us as a one-element grid; 2,000 energies 47 ms as
+  single-energy calls against 2.2 ms as one grid;
+* ``solve_exact`` on a 2,049-slab profile: one energy 1.4 ms scalar; 50
+  energies 69 ms as single-energy calls against 93 ms as one grid, 2,000
+  energies 3.8 s against 0.29 s;
 * shooting mismatch on a 3-well system: one energy 0.5 ms scalar against
   32 ms through :func:`_rk4_rows`; 800 energies 0.60 s as single-energy
   calls against 0.12 s as one grid.
@@ -96,18 +101,20 @@ def _transfer_product(widths, q2s):
     """
     m11 = 1.0; m12 = 0.0; m21 = 0.0; m22 = 1.0
     log_scale = 0.0
-    for i in range(widths.shape[0]):
-        c, s = _cs_entries(q2s[i], widths[i])
-        d = -q2s[i] * s
-        n11 = c * m11 + s * m21
-        n12 = c * m12 + s * m22
-        n21 = d * m11 + c * m21
-        n22 = d * m12 + c * m22
-        m11, m12, m21, m22 = n11, n12, n21, n22
-        big = max(max(abs(m11), abs(m12)), max(abs(m21), abs(m22)))
-        if big > _SCALE_LIMIT:
-            m11 /= big; m12 /= big; m21 /= big; m22 /= big
-            log_scale += math.log(big)
+    lim = _SCALE_LIMIT
+    for w, q2 in zip(widths.tolist(), q2s.tolist()):
+        c, s = _cs_entries(q2, w)
+        d = -q2 * s
+        m11, m12, m21, m22 = (c * m11 + s * m21, c * m12 + s * m22,
+                              d * m11 + c * m21, d * m12 + c * m22)
+        # the max(abs(...)) test only runs once an entry leaves [-lim, lim]
+        # (or is NaN), which is rare
+        if not (-lim <= m11 <= lim and -lim <= m12 <= lim
+                and -lim <= m21 <= lim and -lim <= m22 <= lim):
+            big = max(max(abs(m11), abs(m12)), max(abs(m21), abs(m22)))
+            if big > lim:
+                m11 /= big; m12 /= big; m21 /= big; m22 /= big
+                log_scale += math.log(big)
     return m11, m12, m21, m22, log_scale
 
 
@@ -245,6 +252,7 @@ def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, c
     Returns (status, nrows, rows, rt, lnt, r, x_stop); row columns are
     (x, rho, phi_rev, phi, delta, ln|T|).
     """
+    x0s = x0s.tolist(); ws = ws.tolist(); u0s = u0s.tolist(); sls = sls.tolist()
     rows = np.empty((cap, 6))
     half_pi = 0.5 * math.pi
     two_pi = 2.0 * math.pi
@@ -259,7 +267,7 @@ def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, c
     mode = 0
     phi_rev_u = -half_pi   # unwrapped phase trackers for complex mode
     phi_u = -half_pi
-    rows[0, 0] = x0s[0] if x0s.shape[0] > 0 else 0.0
+    rows[0, 0] = x0s[0] if x0s else 0.0
     rows[0, 1] = 0.0
     rows[0, 2] = -half_pi
     rows[0, 3] = -half_pi
@@ -267,8 +275,8 @@ def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, c
     rows[0, 5] = 0.0
     nrows = 1
     total = 0.0
-    for i in range(ws.shape[0]):
-        total += ws[i]
+    for w in ws:
+        total += w
     if total <= 0.0:
         return STATUS_OK, nrows, rows, rt, lnt, r, 0.0
     hmin = 1e-14 * total
@@ -276,7 +284,7 @@ def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, c
     if k > 0.0 and 0.25 / k < h:
         h = 0.25 / k
     x = 0.0
-    for ip in range(ws.shape[0]):
+    for ip in range(len(ws)):
         xa = x0s[ip]
         xb = xa + ws[ip]
         u0 = u0s[ip]

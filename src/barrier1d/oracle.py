@@ -134,9 +134,12 @@ def solve_exact(p: Potential, E: float | np.ndarray,
     k_l = math.sqrt(E - p.v_left)
     k_r = math.sqrt(E - p.v_right)
     widths, heights = p.as_slabs(n_slab)
-    m11, m12, m21, m22, log_scale = _transfer_product(widths, E - heights)
+    try:
+        m11, m12, m21, m22, log_scale = _transfer_product(widths, E - heights)
+    except OverflowError:   # a slab whose cosh(kappa w) exceeds any float
+        raise ConditioningError(_LOST_CONDITIONING) from None
     a11, a12, a21, a22 = _amplitude_m(m11, m12, m21, m22, k_l, k_r)
-    if not (np.isfinite(a22) and abs(a22) > 0.0):
+    if not (cmath.isfinite(a22) and abs(a22) > 0.0):
         raise ConditioningError(_LOST_CONDITIONING)
     scale = math.exp(-log_scale) if log_scale < 700.0 else 0.0
     return _scatter_data(a12, a21, a22, k_l, k_r, scale, p.extent)

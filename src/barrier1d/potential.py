@@ -205,11 +205,14 @@ class Potential:
         """
         if n_slab < 1:
             raise ValueError("n_slab must be >= 1")
+        # runs of constant slabs collect in lists, sliced profiles stay
+        # arrays; a profile never passes through a list of floats
         widths, heights = [], []
+        run_w, run_h = [], []
         for s in self.segments:
             p = s.profile
             if isinstance(p, Constant):
-                widths.append(s.width); heights.append(p.height)
+                run_w.append(s.width); run_h.append(p.height)
                 continue
             dw = s.width / n_slab
             mids = (np.arange(n_slab) + 0.5) * dw
@@ -218,8 +221,12 @@ class Potential:
             else:
                 nodes = np.linspace(0.0, s.width, len(p.heights))
                 hs = np.interp(mids, nodes, p.heights)
-            widths.extend([dw] * n_slab); heights.extend(hs.tolist())
-        return np.asarray(widths), np.asarray(heights)
+            widths += [run_w, np.full(n_slab, dw)]; heights += [run_h, hs]
+            run_w, run_h = [], []
+        if not widths:      # constant slabs only: nothing to join
+            return np.asarray(run_w), np.asarray(run_h)
+        widths.append(run_w); heights.append(run_h)
+        return np.concatenate(widths), np.concatenate(heights)
 
     def reversed(self) -> "Potential":
         """Mirror image (x -> extent - x); swaps the media."""

@@ -1,13 +1,19 @@
 """The vectorised grid kernels must agree with the scalar single-energy
-paths: bit for bit for shooting, to rounding for slab products."""
+paths: bit for bit for shooting, to rounding for slab products.  The
+scalar loops compute on Python numbers and rescale as a max(|m_ij|) test
+would."""
+
+import math
 
 import numpy as np
 import pytest
 
-from barrier1d._kernels import (_SCALE_LIMIT, _cell_traces, _clip_trace, _cs,
-                                _cs_entries, _rk4_region, _rk4_rows,
-                                _shoot_mismatch, _transfer_product,
-                                _transfer_products)
+from barrier1d._kernels import (RICCATI_ALPHA, RICCATI_COMPLEX, RICCATI_REAL,
+                                STATUS_OK, _SCALE_LIMIT, _cell_traces,
+                                _clip_trace, _cs, _cs_entries, _riccati_path,
+                                _rk4_region, _rk4_rows, _shoot_mismatch,
+                                _transfer_product, _transfer_products)
+from barrier1d.potential import Constant, Linear, Potential, Segment
 from barrier1d.spectra import _MAX_PHASE_STEP, WellSystem, _shoot_values
 
 
@@ -38,6 +44,47 @@ def _opaque_stack():
     heights = np.where(np.arange(40) % 2 == 0, rng.uniform(300.0, 600.0, 40),
                        rng.uniform(-2.0, 0.0, 40))
     return widths, heights, np.linspace(0.05, 700.0, 160)
+
+
+def _max_abs_product(widths, q2s):
+    # the slab product as a plain float loop that rescales whenever
+    # max(|m_ij|) > 1e100
+    m11, m12, m21, m22, log_scale = 1.0, 0.0, 0.0, 1.0, 0.0
+    for w, q2 in zip(widths.tolist(), q2s.tolist()):
+        c, s = _cs_entries(q2, w)
+        d = -q2 * s
+        m11, m12, m21, m22 = (c * m11 + s * m21, c * m12 + s * m22,
+                              d * m11 + c * m21, d * m12 + c * m22)
+        big = max(abs(m11), abs(m12), abs(m21), abs(m22))
+        if big > 1e100:
+            m11 /= big; m12 /= big; m21 /= big; m22 /= big
+            log_scale += math.log(big)
+    return m11, m12, m21, m22, log_scale
+
+
+def test_transfer_product_rescales_like_the_max_abs_loop():
+    widths, heights, energies = _opaque_stack()
+    rescaled = 0
+    for e in energies:
+        got = _transfer_product(widths, e - heights)
+        want = _max_abs_product(widths, e - heights)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        rescaled += got[4] > 0.0
+    assert 0 < rescaled < energies.size
+
+
+def test_scalar_kernels_return_python_numbers():
+    widths, heights, energies = _opaque_stack()
+    for e in (energies[0], energies[-1]):
+        assert all(type(v) is float for v in _transfer_product(widths, e - heights))
+    # a ramp strong enough to hand every form over to its polar variables
+    p = Potential((Segment(3.0, Linear(0.4, 0.3)), Segment(1.0, Constant(0.9))))
+    x0, w, u0, sl = p.as_linear_pieces()
+    for form in (RICCATI_COMPLEX, RICCATI_REAL, RICCATI_ALPHA):
+        status, _, _, rt, lnt, r, _ = _riccati_path(x0, w, u0, sl, 1.1, form, 1e-10,
+                                                    1e-12, 2e-6, 1e-6, 10_000)
+        assert status == STATUS_OK
+        assert type(rt) is complex and type(lnt) is complex and type(r) is complex
 
 
 def test_transfer_products_match_scalar_product_per_energy():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from barrier1d.oracle import ScatterData, free_data, solve_exact
+from barrier1d.oracle import ConditioningError, ScatterData, free_data, solve_exact
 from barrier1d.potential import Constant, Linear, Potential, Segment
 
 from conftest import (random_slab_potential, random_smoothish_potential,
@@ -135,3 +135,12 @@ def test_energy_grid_solve_rejects_a_closed_channel_anywhere():
     p = Potential((Segment(1.0, Constant(0.5)),), v_left=0.0, v_right=1.0)
     with pytest.raises(ValueError, match="0.8"):
         solve_exact(p, np.array([1.5, 0.8, 2.0]))
+
+
+def test_opaque_slab_raises_conditioning_error_on_both_paths():
+    # kappa*w = 50*sqrt(999) ~ 1580: cosh overflows a float on either path
+    p = Potential((Segment(50.0, Constant(1000.0)),))
+    with pytest.raises(ConditioningError):
+        solve_exact(p, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConditioningError):
+        solve_exact(p, np.array([1.0, 2.0]))

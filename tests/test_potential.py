@@ -163,6 +163,28 @@ def test_as_slabs_midpoint_samples_ramp():
     np.testing.assert_allclose(h, [0.25, 0.75, 1.25, 1.75])
 
 
+def test_as_slabs_keeps_segment_order_and_midpoints_bit_for_bit():
+    # dyadic widths, heights and slopes: every midpoint value below is exact
+    p = Potential((Segment(0.5, Constant(3.0)),
+                   Segment(2.0, Linear(0.25, -0.5)),
+                   Segment(1.5, Constant(-1.0)),
+                   Segment(4.0, Sampled((0.0, 1.0, 3.0))),
+                   Segment(0.75, Constant(2.0))))
+    w, h = p.as_slabs(n_slab=8)
+    assert w.dtype == h.dtype == np.float64
+    assert w.tolist() == [0.5] + [0.25] * 8 + [1.5] + [0.5] * 8 + [0.75]
+    ramp = [0.25 - 0.5 * (i + 0.5) * 0.25 for i in range(8)]
+    # nodes at x = 0, 2, 4 of the sampled segment, midpoints 0.25 .. 3.75
+    sampled = [0.125, 0.375, 0.625, 0.875, 1.25, 1.75, 2.25, 2.75]
+    assert h.tolist() == [3.0] + ramp + [-1.0] + sampled + [2.0]
+
+
+def test_as_slabs_of_an_empty_potential_is_empty():
+    w, h = Potential(()).as_slabs()
+    assert w.shape == h.shape == (0,)
+    assert w.dtype == h.dtype == np.float64
+
+
 def test_potential_file_round_trip(tmp_path, units):
     p = Potential((Segment(float(units.length_from_angstrom(2.8)),
                            Constant(float(units.energy_from_ev(0.9)))),
