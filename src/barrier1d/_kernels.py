@@ -20,9 +20,10 @@ costs 3-4x more.  Measured on a 2-core VM (best of several runs):
 * ``solve_exact`` on a 2,049-slab profile: one energy 1.4 ms scalar; 50
   energies 69 ms as single-energy calls against 93 ms as one grid, 2,000
   energies 3.8 s against 0.29 s;
-* shooting mismatch on a 3-well system: one energy 0.5 ms scalar against
-  32 ms through :func:`_rk4_rows`; 800 energies 0.60 s as single-energy
-  calls against 0.12 s as one grid.
+* shooting mismatch on a 3-well system (both paths raise the RK4 step
+  matrix to its power by repeated squaring): one energy 0.06-0.09 ms
+  scalar against 1.1-1.6 ms through :func:`_rk4_rows`; 800 energies
+  46-76 ms as single-energy calls against 2.2-3.4 ms as one grid.
 
 Shooting gives the same bits on both paths.  Slab products agree to
 rounding: numpy's ``cosh``/``sinh`` differ from libm's in the last bit at
@@ -207,25 +208,20 @@ _E5 = -277.0 / 14336.0
 _E6 = _B6 - 0.25
 
 
-def _rhs_complex(x, rt, lnt, k, u0, sl, xa):
+def _rhs(mode, x, y0, y1, k, u0, sl, xa):
+    """RHS of the complex (mode 0; state Rt, lnT, R, 0), polar (mode 1;
+    state rho, phi_rev, phi, delta) or angle (mode 2; alpha in place of
+    rho) system.  No form reads slots 2 and 3, so the stage block passes
+    slots 0 and 1 only."""
     U = u0 + sl * (x - xa)
     u = U / (2.0 * k)
     v = (U - 2.0 * k * k) / k
-    drt = -1j * (u * rt * rt + v * rt + u)
-    dlnt = -1j * u * (1.0 + rt)
-    dr = -1j * u * cmath.exp(2j * k * x + 2.0 * lnt)
-    return drt, dlnt, dr
-
-
-def _rhs_polar(form, x, y0, y1, y2, y3, k, u0, sl, xa):
-    """RHS of the polar (form=1) or angle (form=2) system;
-    state (rho|alpha, phi_rev, phi, delta)."""
-    U = u0 + sl * (x - xa)
-    u = U / (2.0 * k)
-    v = (U - 2.0 * k * k) / k
+    if mode == 0:
+        return (-1j * (u * y0 * y0 + v * y0 + u), -1j * u * (1.0 + y0),
+                -1j * u * cmath.exp(2j * k * x + 2.0 * y1), 0.0)
     cp = math.cos(y1)
     sp = math.sin(y1)
-    if form == 1:
+    if mode == 1:
         rho = y0
         if rho < 1e-12:
             rho = 1e-12
@@ -246,39 +242,43 @@ def _rhs_polar(form, x, y0, y1, y2, y3, k, u0, sl, xa):
     return d0, d1, d2, d3
 
 
+def _complex_state(mode, y0, y1, y2, y3):
+    """(Rt, lnT, R) of a state of the given form."""
+    if mode == 0:
+        return y0, y1, y2
+    rho = y0 if mode == RICCATI_REAL else math.cos(y0)
+    if rho > 1.0:
+        rho = 1.0
+    one_m = max((1.0 - rho) * (1.0 + rho), 1e-300)
+    return (rho * cmath.exp(1j * y1), 0.5 * math.log(one_m) + 1j * y3,
+            rho * cmath.exp(1j * y2))
+
+
 def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, cap):
     """Integrate across all linear pieces; record every accepted step.
 
-    Returns (status, nrows, rows, rt, lnt, r, x_stop); row columns are
-    (x, rho, phi_rev, phi, delta, ln|T|).
+    Every form steps through one Cash-Karp block over a four-slot state:
+    (Rt, lnT, R, 0) in the complex mode, (rho|alpha, phi_rev, phi, delta)
+    in the polar and angle modes.  Returns (status, nrows, rows, rt, lnt,
+    r, x_stop), the endpoints taken where integration stopped; row columns
+    are (x, rho, phi_rev, phi, delta, ln|T|).
     """
     x0s = x0s.tolist(); ws = ws.tolist(); u0s = u0s.tolist(); sls = sls.tolist()
     rows = np.empty((cap, 6))
     half_pi = 0.5 * math.pi
     two_pi = 2.0 * math.pi
-    # complex state
-    rt = 0.0 + 0.0j
-    lnt = 0.0 + 0.0j
-    r = 0.0 + 0.0j
-    # polar state (valid when mode != 0)
-    p0 = 0.0; p1 = 0.0; p2 = 0.0; p3 = 0.0
-    q0 = 0.0; q1 = 0.0; q2 = 0.0; q3 = 0.0
-    rt_n = rt; lnt_n = lnt; r_n = r
+    y0 = y1 = y2 = 0j
+    y3 = 0.0
     mode = 0
     phi_rev_u = -half_pi   # unwrapped phase trackers for complex mode
     phi_u = -half_pi
-    rows[0, 0] = x0s[0] if x0s else 0.0
-    rows[0, 1] = 0.0
-    rows[0, 2] = -half_pi
-    rows[0, 3] = -half_pi
-    rows[0, 4] = 0.0
-    rows[0, 5] = 0.0
+    rows[0] = (x0s[0] if x0s else 0.0, 0.0, -half_pi, -half_pi, 0.0, 0.0)
     nrows = 1
     total = 0.0
     for w in ws:
         total += w
     if total <= 0.0:
-        return STATUS_OK, nrows, rows, rt, lnt, r, 0.0
+        return STATUS_OK, nrows, rows, y0, y1, y2, 0.0
     hmin = 1e-14 * total
     h = total
     if k > 0.0 and 0.25 / k < h:
@@ -295,78 +295,42 @@ def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, c
         while x < xb - 1e-15 * total:
             if h > xb - x:
                 h = xb - x
+            a1, b1, c1, d1 = _rhs(mode, x, y0, y1, k, u0, sl, xa)
+            a2, b2, c2, d2 = _rhs(mode, x + _C2 * h, y0 + h * _A21 * a1,
+                                  y1 + h * _A21 * b1, k, u0, sl, xa)
+            a3, b3, c3, d3 = _rhs(mode, x + _C3 * h,
+                                  y0 + h * (_A31 * a1 + _A32 * a2),
+                                  y1 + h * (_A31 * b1 + _A32 * b2), k, u0, sl, xa)
+            a4, b4, c4, d4 = _rhs(mode, x + _C4 * h,
+                                  y0 + h * (_A41 * a1 + _A42 * a2 + _A43 * a3),
+                                  y1 + h * (_A41 * b1 + _A42 * b2 + _A43 * b3),
+                                  k, u0, sl, xa)
+            a5, b5, c5, d5 = _rhs(mode, x + _C5 * h,
+                                  y0 + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4),
+                                  y1 + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4),
+                                  k, u0, sl, xa)
+            a6, b6, c6, d6 = _rhs(mode, x + _C6 * h,
+                                  y0 + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5),
+                                  y1 + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5),
+                                  k, u0, sl, xa)
+            q0 = y0 + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B6 * a6)
+            q1 = y1 + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B6 * b6)
+            q2 = y2 + h * (_B1 * c1 + _B3 * c3 + _B4 * c4 + _B6 * c6)
+            q3 = y3 + h * (_B1 * d1 + _B3 * d3 + _B4 * d4 + _B6 * d6)
+            e0 = abs(h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6))
+            e1 = abs(h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6))
+            e2 = abs(h * (_E1 * c1 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6))
+            s0 = atol + rtol * max(abs(y0), abs(q0))
+            s1 = atol + rtol * max(abs(y1), abs(q1))
+            s2 = atol + rtol * max(abs(y2), abs(q2))
+            err = (e0 / s0) ** 2 + (e1 / s1) ** 2 + (e2 / s2) ** 2
             if mode == 0:
-                # --- complex Cash-Karp step
-                a1, b1, c1 = _rhs_complex(x, rt, lnt, k, u0, sl, xa)
-                a2, b2, c2 = _rhs_complex(x + _C2 * h, rt + h * _A21 * a1,
-                                          lnt + h * _A21 * b1, k, u0, sl, xa)
-                a3, b3, c3 = _rhs_complex(x + _C3 * h, rt + h * (_A31 * a1 + _A32 * a2),
-                                          lnt + h * (_A31 * b1 + _A32 * b2), k, u0, sl, xa)
-                a4, b4, c4 = _rhs_complex(x + _C4 * h,
-                                          rt + h * (_A41 * a1 + _A42 * a2 + _A43 * a3),
-                                          lnt + h * (_A41 * b1 + _A42 * b2 + _A43 * b3),
-                                          k, u0, sl, xa)
-                a5, b5, c5 = _rhs_complex(x + _C5 * h,
-                                          rt + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4),
-                                          lnt + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4),
-                                          k, u0, sl, xa)
-                a6, b6, c6 = _rhs_complex(x + _C6 * h,
-                                          rt + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5),
-                                          lnt + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5),
-                                          k, u0, sl, xa)
-                rt_n = rt + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B6 * a6)
-                lnt_n = lnt + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B6 * b6)
-                r_n = r + h * (_B1 * c1 + _B3 * c3 + _B4 * c4 + _B6 * c6)
-                e0 = abs(h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6))
-                e1 = abs(h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6))
-                e2 = abs(h * (_E1 * c1 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6))
-                s0 = atol + rtol * max(abs(rt), abs(rt_n))
-                s1 = atol + rtol * max(abs(lnt), abs(lnt_n))
-                s2 = atol + rtol * max(abs(r), abs(r_n))
-                err = math.sqrt(((e0 / s0) ** 2 + (e1 / s1) ** 2 + (e2 / s2) ** 2) / 3.0)
+                # slot 3 is idle in the complex form
+                err = math.sqrt(err / 3.0)
             else:
-                # --- polar/angle Cash-Karp step
-                a1, b1, c1, d1 = _rhs_polar(mode, x, p0, p1, p2, p3, k, u0, sl, xa)
-                a2, b2, c2, d2 = _rhs_polar(mode, x + _C2 * h, p0 + h * _A21 * a1,
-                                            p1 + h * _A21 * b1, p2 + h * _A21 * c1,
-                                            p3 + h * _A21 * d1, k, u0, sl, xa)
-                a3, b3, c3, d3 = _rhs_polar(mode, x + _C3 * h,
-                                            p0 + h * (_A31 * a1 + _A32 * a2),
-                                            p1 + h * (_A31 * b1 + _A32 * b2),
-                                            p2 + h * (_A31 * c1 + _A32 * c2),
-                                            p3 + h * (_A31 * d1 + _A32 * d2), k, u0, sl, xa)
-                a4, b4, c4, d4 = _rhs_polar(mode, x + _C4 * h,
-                                            p0 + h * (_A41 * a1 + _A42 * a2 + _A43 * a3),
-                                            p1 + h * (_A41 * b1 + _A42 * b2 + _A43 * b3),
-                                            p2 + h * (_A41 * c1 + _A42 * c2 + _A43 * c3),
-                                            p3 + h * (_A41 * d1 + _A42 * d2 + _A43 * d3),
-                                            k, u0, sl, xa)
-                a5, b5, c5, d5 = _rhs_polar(mode, x + _C5 * h,
-                                            p0 + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4),
-                                            p1 + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4),
-                                            p2 + h * (_A51 * c1 + _A52 * c2 + _A53 * c3 + _A54 * c4),
-                                            p3 + h * (_A51 * d1 + _A52 * d2 + _A53 * d3 + _A54 * d4),
-                                            k, u0, sl, xa)
-                a6, b6, c6, d6 = _rhs_polar(mode, x + _C6 * h,
-                                            p0 + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5),
-                                            p1 + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5),
-                                            p2 + h * (_A61 * c1 + _A62 * c2 + _A63 * c3 + _A64 * c4 + _A65 * c5),
-                                            p3 + h * (_A61 * d1 + _A62 * d2 + _A63 * d3 + _A64 * d4 + _A65 * d5),
-                                            k, u0, sl, xa)
-                q0 = p0 + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B6 * a6)
-                q1 = p1 + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B6 * b6)
-                q2 = p2 + h * (_B1 * c1 + _B3 * c3 + _B4 * c4 + _B6 * c6)
-                q3 = p3 + h * (_B1 * d1 + _B3 * d3 + _B4 * d4 + _B6 * d6)
-                e0 = abs(h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6))
-                e1 = abs(h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6))
-                e2 = abs(h * (_E1 * c1 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6))
                 e3 = abs(h * (_E1 * d1 + _E3 * d3 + _E4 * d4 + _E5 * d5 + _E6 * d6))
-                s0 = atol + rtol * max(abs(p0), abs(q0))
-                s1 = atol + rtol * max(abs(p1), abs(q1))
-                s2 = atol + rtol * max(abs(p2), abs(q2))
-                s3 = atol + rtol * max(abs(p3), abs(q3))
-                err = math.sqrt(((e0 / s0) ** 2 + (e1 / s1) ** 2
-                                 + (e2 / s2) ** 2 + (e3 / s3) ** 2) / 4.0)
+                s3 = atol + rtol * max(abs(y3), abs(q3))
+                err = math.sqrt((err + (e3 / s3) ** 2) / 4.0)
             if err <= 1.0:
                 x += h
                 if err > 1e-30:
@@ -376,63 +340,52 @@ def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, c
                 else:
                     fac = 5.0
                 h *= fac
+                y0 = q0; y1 = q1; y2 = q2; y3 = q3
                 if mode == 0:
-                    rt = rt_n; lnt = lnt_n; r = r_n
-                    rho = abs(rt)
+                    rho = abs(y0)
                     if rho > 1.0 + 1e-8:
-                        return STATUS_DIVERGED, nrows, rows, rt, lnt, r, x
+                        return STATUS_DIVERGED, nrows, rows, y0, y1, y2, x
                     if rho > 1e-30:
-                        ang = cmath.phase(rt)
+                        ang = cmath.phase(y0)
                         phi_rev_u = ang + two_pi * round((phi_rev_u - ang) / two_pi)
-                    if abs(r) > 1e-30:
-                        ang = cmath.phase(r)
+                    if abs(y2) > 1e-30:
+                        ang = cmath.phase(y2)
                         phi_u = ang + two_pi * round((phi_u - ang) / two_pi)
                     if nrows >= cap:
-                        return STATUS_CAP, nrows, rows, rt, lnt, r, x
-                    rows[nrows, 0] = x
-                    rows[nrows, 1] = rho
-                    rows[nrows, 2] = phi_rev_u
-                    rows[nrows, 3] = phi_u
-                    rows[nrows, 4] = lnt.imag
-                    rows[nrows, 5] = lnt.real
+                        return STATUS_CAP, nrows, rows, y0, y1, y2, x
+                    rows[nrows] = (x, rho, phi_rev_u, phi_u, y1.imag, y1.real)
                     nrows += 1
                     if form != RICCATI_COMPLEX and rho >= rho_enter:
                         # hand off to the polar/angle form; phi from the
                         # delta identity keeps all four fields consistent
-                        delta = lnt.imag
-                        phi = 2.0 * delta - phi_rev_u + 2.0 * k * x - math.pi
-                        p0 = rho if form == RICCATI_REAL else math.acos(min(rho, 1.0))
-                        p1 = phi_rev_u
-                        p2 = phi
-                        p3 = delta
+                        delta = y1.imag
+                        y2 = 2.0 * delta - phi_rev_u + 2.0 * k * x - math.pi
+                        y0 = rho if form == RICCATI_REAL else math.acos(min(rho, 1.0))
+                        y1 = phi_rev_u
+                        y3 = delta
                         mode = form
                 else:
-                    p0 = q0; p1 = q1; p2 = q2; p3 = q3
-                    rho = p0 if mode == RICCATI_REAL else math.cos(p0)
+                    rho = y0 if mode == RICCATI_REAL else math.cos(y0)
                     if rho > 1.0 + 1e-8:
-                        return STATUS_DIVERGED, nrows, rows, rt, lnt, r, x
+                        return (STATUS_DIVERGED, nrows, rows,
+                                *_complex_state(mode, y0, y1, y2, y3), x)
                     if rho > 1.0:
                         rho = 1.0
                     if nrows >= cap:
-                        return STATUS_CAP, nrows, rows, rt, lnt, r, x
+                        return (STATUS_CAP, nrows, rows,
+                                *_complex_state(mode, y0, y1, y2, y3), x)
                     one_m = (1.0 - rho) * (1.0 + rho)
                     if one_m < 1e-300:
                         one_m = 1e-300
-                    rows[nrows, 0] = x
-                    rows[nrows, 1] = rho
-                    rows[nrows, 2] = p1
-                    rows[nrows, 3] = p2
-                    rows[nrows, 4] = p3
-                    rows[nrows, 5] = 0.5 * math.log(one_m)
+                    rows[nrows] = (x, rho, y1, y2, y3, 0.5 * math.log(one_m))
                     nrows += 1
                     if rho < rho_exit:
                         # back to the complex form near the coordinate
                         # singularity at rho = 0
-                        rt = rho * cmath.exp(1j * p1)
-                        lnt = 0.5 * math.log(one_m) + 1j * p3
-                        r = rho * cmath.exp(1j * p2)
-                        phi_rev_u = p1
-                        phi_u = p2
+                        phi_rev_u = y1
+                        phi_u = y2
+                        y0, y1, y2 = _complex_state(mode, y0, y1, y2, y3)
+                        y3 = 0.0
                         mode = 0
             else:
                 fac = 0.9 * err ** -0.2
@@ -440,87 +393,74 @@ def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, c
                     fac = 0.2
                 h *= fac
                 if h < hmin:
-                    return STATUS_UNDERFLOW, nrows, rows, rt, lnt, r, x
-    if mode != 0:
-        rho = p0 if mode == RICCATI_REAL else math.cos(p0)
-        if rho > 1.0:
-            rho = 1.0
-        one_m = max((1.0 - rho) * (1.0 + rho), 1e-300)
-        rt = rho * cmath.exp(1j * p1)
-        lnt = 0.5 * math.log(one_m) + 1j * p3
-        r = rho * cmath.exp(1j * p2)
-    return STATUS_OK, nrows, rows, rt, lnt, r, x
+                    return (STATUS_UNDERFLOW, nrows, rows,
+                            *_complex_state(mode, y0, y1, y2, y3), x)
+    return STATUS_OK, nrows, rows, *_complex_state(mode, y0, y1, y2, y3), x
 
 
 # ----------------------------------------------------------------------
 # bound-state shooting
 #
-# psi'' = -q^2 psi integrated by fixed-step RK4.  For constant q^2 the
-# RK4 step equals the degree-4 Taylor polynomial of the exact propagator,
-# applied n times; (psi, psi') is renormalised by its max norm whenever it
-# passes 1e120 (positive factor, so the sign of the matching Wronskian is
-# untouched).
+# psi'' = -q^2 psi integrated by fixed-step RK4.  For constant q^2 one RK4
+# step is a fixed matrix P = [[a, b], [c, a]] (the degree-4 Taylor
+# polynomial of the exact propagator), so n steps are P^n, formed by binary
+# powering: P is squared once per bit of n, and (psi, psi') is multiplied
+# by the square at each set bit.  Powers of P keep equal diagonal entries.
+# Each square is divided by its largest |entry|, and (psi, psi') by its max
+# norm after each multiplication, so no region overflows however much it
+# grows; the factors are positive, so the sign of the matching Wronskian is
+# untouched.
 
 
-def _rk4_region(psi, dpsi, q2, w, n):
-    """Advance (psi, psi') across one constant-q^2 region with n RK4 steps."""
+def _rk4_step(q2, w, n):
+    """Entries (a, b, c) of the RK4 step matrix [[a, b], [c, a]] for n
+    steps across width w, for scalars or arrays."""
     h = w / n
     a = -q2
     h2 = h * h
-    m11 = 1.0 + a * h2 / 2.0 + a * a * h2 * h2 / 24.0
-    m12 = h + a * h2 * h / 6.0
-    m21 = a * h + a * a * h2 * h / 6.0
-    m22 = m11
-    for _ in range(n):
-        psi, dpsi = m11 * psi + m12 * dpsi, m21 * psi + m22 * dpsi
-        # max(|psi|, |dpsi|) > 1e120, without the calls
-        if not (-1e120 <= psi <= 1e120 and -1e120 <= dpsi <= 1e120):
+    return (1.0 + a * h2 / 2.0 + a * a * h2 * h2 / 24.0,
+            h + a * h2 * h / 6.0,
+            a * h + a * a * h2 * h / 6.0)
+
+
+def _rk4_region(psi, dpsi, q2, w, n):
+    """Advance (psi, psi') across one constant-q^2 region with n RK4
+    steps; the result is returned up to a positive factor."""
+    a, b, c = _rk4_step(q2, w, n)
+    while True:
+        if n & 1:
+            psi, dpsi = a * psi + b * dpsi, c * psi + a * dpsi
             big = max(abs(psi), abs(dpsi))
             psi /= big
             dpsi /= big
-    return psi, dpsi
+        n >>= 1
+        if not n:
+            return psi, dpsi
+        a, b, c = a * a + b * c, 2.0 * a * b, 2.0 * a * c
+        big = max(abs(a), abs(b), abs(c))
+        a /= big; b /= big; c /= big
 
 
 def _rk4_rows(psi, dpsi, q2, w, n):
     """:func:`_rk4_region` on arrays over rows, row i taking its own n[i]
-    steps: the same arithmetic, and each row renormalises at the same
-    steps as in the scalar loop, so the results agree bit for bit."""
-    h = w / n
-    a = -q2
-    h2 = h * h
-    m11 = 1.0 + a * h2 / 2.0 + a * a * h2 * h2 / 24.0
-    m12 = h + a * h2 * h / 6.0
-    m21 = a * h + a * a * h2 * h / 6.0
-    # rows sorted by step count, longest first: the rows still stepping
-    # are always a leading slice
-    order = np.argsort(-n, kind="stable")
-    n = n[order]
-    m11 = m11[order]; m12 = m12[order]; m21 = m21[order]
-    psi = psi[order]; dpsi = dpsi[order]
-    t1 = np.empty_like(psi); t2 = np.empty_like(psi)
-    tripped = np.empty(psi.shape, dtype=bool)
-    k = 0
-    for step in range(n[0] if n.size else 0):
-        if k == 0 or n[k - 1] <= step:
-            k = int(np.count_nonzero(n > step))
-            p, d, u, v, big = psi[:k], dpsi[:k], t1[:k], t2[:k], tripped[:k]
-            a11, a12, a21 = m11[:k], m12[:k], m21[:k]
-        np.multiply(a11, p, out=u)
-        np.multiply(a12, d, out=v)
-        np.add(u, v, out=u)
-        np.multiply(a21, p, out=v)
-        np.multiply(a11, d, out=d)          # m22 = m11
-        np.add(v, d, out=d)
-        np.copyto(p, u)
-        np.abs(p, out=u)
-        np.abs(d, out=v)
-        np.maximum(u, v, out=u)
-        if np.greater(u, 1e120, out=big).any():
-            p[big] /= u[big]
-            d[big] /= u[big]
-    out_psi = np.empty_like(psi); out_dpsi = np.empty_like(dpsi)
-    out_psi[order] = psi; out_dpsi[order] = dpsi
-    return out_psi, out_dpsi
+    steps: each row reads its own bits of n[i] and sees the same
+    arithmetic as in the scalar loop, so the results agree bit for bit.
+    A row not multiplied at a bit is divided by 1.0 there, as rescaling
+    it would round it differently from the scalar loop."""
+    a, b, c = _rk4_step(q2, w, n)
+    while True:
+        odd = (n & 1) == 1
+        p = np.where(odd, a * psi + b * dpsi, psi)
+        d = np.where(odd, c * psi + a * dpsi, dpsi)
+        big = np.where(odd, np.maximum(np.abs(p), np.abs(d)), 1.0)
+        psi = p / big
+        dpsi = d / big
+        n = n >> 1
+        if not n.any():
+            return psi, dpsi
+        a, b, c = a * a + b * c, 2.0 * a * b, 2.0 * a * c
+        big = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+        a = a / big; b = b / big; c = c / big
 
 
 def _shoot_mismatch(widths, q2rows, bc_left_psi, bc_left_dpsi,
@@ -531,8 +471,8 @@ def _shoot_mismatch(widths, q2rows, bc_left_psi, bc_left_dpsi,
     q2rows has shape (nE, nregions); boundary (psi, psi') pairs may depend
     on E and are passed as arrays over nE.  The right shoot integrates with
     negative step from the right edge.  A single row (a root polish) runs
-    the float loop :func:`_rk4_region`; an energy grid steps all its rows
-    at once through :func:`_rk4_rows`.  Both give the same bits.
+    the float loop :func:`_rk4_region`; an energy grid advances all its
+    rows at once through :func:`_rk4_rows`.  Both give the same bits.
     """
     ws = widths.tolist()
     m = match_region

@@ -440,6 +440,8 @@ def main(argv: list[str] | None = None) -> int:
             cfg.add_section("sweep")
         cfg["sweep"]["format"] = fmt
         cfg["sweep"]["seed"] = str(seed)
+        if args.tol is not None:
+            cfg["sweep"]["tol"] = str(tol)
 
         if args.command == "transmit":
             return run_transmit(cfg, out, fmt, tol)

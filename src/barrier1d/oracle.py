@@ -153,8 +153,10 @@ def _solve_grid(p: Potential, E: np.ndarray, n_slab: int) -> ScatterData:
     k_l = np.sqrt(E - p.v_left)
     k_r = np.sqrt(E - p.v_right)
     widths, heights = p.as_slabs(n_slab)
-    m11, m12, m21, m22, log_scale = _transfer_products(widths, heights, E)
-    a11, a12, a21, a22 = _amplitude_m(m11, m12, m21, m22, k_l, k_r)
+    # an opaque slab overflows cosh/sinh to inf; the check below raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        m11, m12, m21, m22, log_scale = _transfer_products(widths, heights, E)
+        a11, a12, a21, a22 = _amplitude_m(m11, m12, m21, m22, k_l, k_r)
     if not (np.isfinite(a22) & (np.abs(a22) > 0.0)).all():
         raise ConditioningError(_LOST_CONDITIONING)
     scale = np.where(log_scale < 700.0, np.exp(-log_scale), 0.0)

@@ -219,12 +219,13 @@ def bound_levels(ws: WellSystem, E_grid: int = 800) -> LevelSet:
 # ----------------------------------------------------------------------
 # shooting route (independent cross-check)
 #
-# The energy grid of bound_levels_shooting steps all its energies at once
-# (_kernels._rk4_rows); each brentq evaluation is a single energy and runs
-# the scalar float loop (_kernels._rk4_region).  Both give the same bits.
-# On a 3-well system (2-core VM) the 800-point grid takes 0.12 s, against
-# 0.60 s as 800 single-energy calls, and one polish evaluation 0.5 ms,
-# against 32 ms through the grid kernel.
+# The energy grid of bound_levels_shooting powers the RK4 step matrices of
+# all its energies at once (_kernels._rk4_rows); each brentq evaluation is
+# a single energy and runs the scalar float loop (_kernels._rk4_region).
+# Both give the same bits.  On a 3-well system (2-core VM) the 800-point
+# grid takes 2.2-3.4 ms, against 46-76 ms as 800 single-energy calls, and
+# one polish evaluation 0.06-0.09 ms, against 1.1-1.6 ms through the grid
+# kernel.
 
 _MAX_PHASE_STEP = 0.004
 

@@ -77,6 +77,28 @@ def test_rerun_from_own_header(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_rerun_from_own_header_keeps_tol_override(tmp_path):
+    cfg = write(tmp_path, "ric.ini", """
+[potential]
+units = ev_angstrom
+segments = const 2.8 0.9 ; gap 6.5854 ; const 2.8 0.9
+
+[riccati]
+energy = 0.3
+form = real
+""")
+    out1 = tmp_path / "a.csv"
+    assert main(["riccati", "--config", cfg, "--tol", "1e-5", "--out", str(out1)]) == 0
+    rebuilt = config_from_header(out1)
+    assert float(rebuilt["sweep"]["tol"]) == 1e-5
+    cfg2 = tmp_path / "rebuilt.ini"
+    with open(cfg2, "w") as fh:
+        rebuilt.write(fh)
+    out2 = tmp_path / "b.csv"
+    assert main(["riccati", "--config", str(cfg2), "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_config_error_exit_code(tmp_path):
     assert main(["transmit", "--config", str(tmp_path / "missing.ini")]) == 2
     bad = write(tmp_path, "bad.ini", "[potential]\nsegments = wedge 1 2\n\n[transmit]\nenergy = 0.3\n")

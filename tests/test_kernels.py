@@ -116,27 +116,49 @@ def test_cell_traces_match_scalar_product_with_rescale_and_clip():
     np.testing.assert_allclose(tr, ref, rtol=1e-10, atol=0.0)
 
 
-def test_rk4_rows_match_scalar_region_bit_for_bit():
-    # unequal step counts (the rows finish at different steps, in no
-    # particular order), both step directions, and rows that cross the
-    # 1e120 renormalisation at different steps
-    psi = np.array([1.0, 0.3, 1e119, -2e118, 0.0, 5e119])
-    dpsi = np.array([0.0, -1.2, 0.0, 3e118, 1.0, -1e119])
-    q2 = np.array([4.0, -0.5, -4.0, -9.0, 0.0, 2.5])
-    n = np.array([9, 40, 50, 17, 8, 23])
+def _rk4_step_matrix(q2, w, n):
+    # one RK4 step of psi'' = -q2 psi, written out as a matrix on (psi, psi')
+    h, a = w / n, -q2
+    c = 1.0 + a * h * h / 2.0 + a * a * h ** 4 / 24.0
+    return np.array([[c, h + a * h ** 3 / 6.0], [a * h + a * a * h ** 3 / 6.0, c]])
+
+
+def test_rk4_powers_match_step_matrix_powers_and_each_other():
+    # unequal step counts with different bit patterns, both step
+    # directions, unnormalised starts and regions that grow by up to e^12;
+    # a row is rescaled only where it is multiplied, as in the scalar loop
+    rng = np.random.default_rng(7)
+    psi = np.concatenate([[1.0, 0.3, 1e119, -2e118, 0.0, 5e119], rng.uniform(-3.0, 3.0, 40)])
+    dpsi = np.concatenate([[0.0, -1.2, 0.0, 3e118, 1.0, -1e119], rng.uniform(-3.0, 3.0, 40)])
+    q2 = np.concatenate([[4.0, -0.5, -4.0, -9.0, 0.0, 2.5], rng.uniform(-16.0, 30.0, 40)])
+    n = np.concatenate([[9, 40, 50, 17, 8, 23], rng.integers(8, 20_000, 40)])
     for w in (3.0, -3.0):
         got_psi, got_dpsi = _rk4_rows(psi, dpsi, q2, w, n)
         for i in range(psi.size):
-            ref = _rk4_region(float(psi[i]), float(dpsi[i]), float(q2[i]), w, int(n[i]))
-            assert (got_psi[i], got_dpsi[i]) == ref
-    # the third row grows by about e^6 over its steps: without the
-    # renormalisation it would pass 1e120, with it it stays below
-    h, a = 3.0 / 50, 4.0
-    c = 1.0 + a * h * h / 2.0 + a * a * h ** 4 / 24.0
-    step = np.array([[c, h + a * h ** 3 / 6.0], [a * h + a * a * h ** 3 / 6.0, c]])
-    assert np.max(np.abs(np.linalg.matrix_power(step, 50) @ [1e119, 0.0])) > 1e120
-    got_psi, got_dpsi = _rk4_rows(psi, dpsi, q2, 3.0, n)
-    assert max(abs(got_psi[2]), abs(got_dpsi[2])) < 1e120
+            got = _rk4_region(float(psi[i]), float(dpsi[i]), float(q2[i]), w, int(n[i]))
+            assert got == (got_psi[i], got_dpsi[i])
+            ref = np.linalg.matrix_power(_rk4_step_matrix(q2[i], w, n[i]), n[i]) \
+                @ [psi[i], dpsi[i]]
+            ref /= np.max(np.abs(ref))
+            # the same vector up to a positive factor: the kernels return it
+            # with max norm 1
+            assert max(abs(got[0]), abs(got[1])) == 1.0
+            assert np.max(np.abs(np.array(got) - ref)) <= 1e-12
+
+
+def test_rk4_powers_stay_finite_past_the_float_range():
+    # kappa = 20 across a width of 40 grows (psi, psi') by about e^800
+    q2, w = -400.0, 40.0
+    n = int(20.0 * w / _MAX_PHASE_STEP) + 8
+    for sign in (1.0, -1.0):
+        psi, dpsi = _rk4_region(1.0, 0.0, q2, sign * w, n)
+        rows = _rk4_rows(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.full(2, q2),
+                         sign * w, np.array([n, n]))
+        assert (psi, dpsi) == (rows[0][0], rows[1][0])
+        for p, d in ((psi, dpsi), (rows[0][1], rows[1][1])):
+            assert math.isfinite(p) and math.isfinite(d) and p != 0.0
+            # only the mode growing along the step direction is left
+            assert d / p == pytest.approx(sign * 20.0, rel=1e-12)
 
 
 def _random_wells(rng, n_wells, outer):
