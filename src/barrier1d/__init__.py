@@ -30,8 +30,8 @@ from .riccati import (IntegrationError, RiccatiState, Trajectory,
 from .resonance import (DensityRow, NoResonanceError, ResonanceFamily,
                         find_resonant_E, find_resonant_L, pair_chain,
                         rect_pair_resonant_L, resonance_density)
-from .spectra import (BandSet, LevelScan, LevelSet, WellSystem, band_structure,
-                      bound_levels, bound_levels_shooting, compression_scan,
-                      level_scan, tight_binding_energy)
+from .spectra import (BandSet, LevelCountError, LevelScan, LevelSet, WellSystem,
+                      band_structure, bound_levels, bound_levels_shooting,
+                      compression_scan, level_scan, tight_binding_energy)
 
 __version__ = "0.1.0"

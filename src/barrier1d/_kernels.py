@@ -295,42 +295,47 @@ def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, c
         while x < xb - 1e-15 * total:
             if h > xb - x:
                 h = xb - x
-            a1, b1, c1, d1 = _rhs(mode, x, y0, y1, k, u0, sl, xa)
-            a2, b2, c2, d2 = _rhs(mode, x + _C2 * h, y0 + h * _A21 * a1,
-                                  y1 + h * _A21 * b1, k, u0, sl, xa)
-            a3, b3, c3, d3 = _rhs(mode, x + _C3 * h,
-                                  y0 + h * (_A31 * a1 + _A32 * a2),
-                                  y1 + h * (_A31 * b1 + _A32 * b2), k, u0, sl, xa)
-            a4, b4, c4, d4 = _rhs(mode, x + _C4 * h,
-                                  y0 + h * (_A41 * a1 + _A42 * a2 + _A43 * a3),
-                                  y1 + h * (_A41 * b1 + _A42 * b2 + _A43 * b3),
-                                  k, u0, sl, xa)
-            a5, b5, c5, d5 = _rhs(mode, x + _C5 * h,
-                                  y0 + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4),
-                                  y1 + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4),
-                                  k, u0, sl, xa)
-            a6, b6, c6, d6 = _rhs(mode, x + _C6 * h,
-                                  y0 + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5),
-                                  y1 + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5),
-                                  k, u0, sl, xa)
-            q0 = y0 + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B6 * a6)
-            q1 = y1 + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B6 * b6)
-            q2 = y2 + h * (_B1 * c1 + _B3 * c3 + _B4 * c4 + _B6 * c6)
-            q3 = y3 + h * (_B1 * d1 + _B3 * d3 + _B4 * d4 + _B6 * d6)
-            e0 = abs(h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6))
-            e1 = abs(h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6))
-            e2 = abs(h * (_E1 * c1 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6))
-            s0 = atol + rtol * max(abs(y0), abs(q0))
-            s1 = atol + rtol * max(abs(y1), abs(q1))
-            s2 = atol + rtol * max(abs(y2), abs(q2))
-            err = (e0 / s0) ** 2 + (e1 / s1) ** 2 + (e2 / s2) ** 2
-            if mode == 0:
-                # slot 3 is idle in the complex form
-                err = math.sqrt(err / 3.0)
-            else:
-                e3 = abs(h * (_E1 * d1 + _E3 * d3 + _E4 * d4 + _E5 * d5 + _E6 * d6))
-                s3 = atol + rtol * max(abs(y3), abs(q3))
-                err = math.sqrt((err + (e3 / s3) ** 2) / 4.0)
+            try:
+                a1, b1, c1, d1 = _rhs(mode, x, y0, y1, k, u0, sl, xa)
+                a2, b2, c2, d2 = _rhs(mode, x + _C2 * h, y0 + h * _A21 * a1,
+                                      y1 + h * _A21 * b1, k, u0, sl, xa)
+                a3, b3, c3, d3 = _rhs(mode, x + _C3 * h,
+                                      y0 + h * (_A31 * a1 + _A32 * a2),
+                                      y1 + h * (_A31 * b1 + _A32 * b2), k, u0, sl, xa)
+                a4, b4, c4, d4 = _rhs(mode, x + _C4 * h,
+                                      y0 + h * (_A41 * a1 + _A42 * a2 + _A43 * a3),
+                                      y1 + h * (_A41 * b1 + _A42 * b2 + _A43 * b3),
+                                      k, u0, sl, xa)
+                a5, b5, c5, d5 = _rhs(mode, x + _C5 * h,
+                                      y0 + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4),
+                                      y1 + h * (_A51 * b1 + _A52 * b2 + _A53 * b3 + _A54 * b4),
+                                      k, u0, sl, xa)
+                a6, b6, c6, d6 = _rhs(mode, x + _C6 * h,
+                                      y0 + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5),
+                                      y1 + h * (_A61 * b1 + _A62 * b2 + _A63 * b3 + _A64 * b4 + _A65 * b5),
+                                      k, u0, sl, xa)
+                q0 = y0 + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B6 * a6)
+                q1 = y1 + h * (_B1 * b1 + _B3 * b3 + _B4 * b4 + _B6 * b6)
+                q2 = y2 + h * (_B1 * c1 + _B3 * c3 + _B4 * c4 + _B6 * c6)
+                q3 = y3 + h * (_B1 * d1 + _B3 * d3 + _B4 * d4 + _B6 * d6)
+                e0 = abs(h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6))
+                e1 = abs(h * (_E1 * b1 + _E3 * b3 + _E4 * b4 + _E5 * b5 + _E6 * b6))
+                e2 = abs(h * (_E1 * c1 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6))
+                s0 = atol + rtol * max(abs(y0), abs(q0))
+                s1 = atol + rtol * max(abs(y1), abs(q1))
+                s2 = atol + rtol * max(abs(y2), abs(q2))
+                err = (e0 / s0) ** 2 + (e1 / s1) ** 2 + (e2 / s2) ** 2
+                if mode == 0:
+                    # slot 3 is idle in the complex form
+                    err = math.sqrt(err / 3.0)
+                else:
+                    e3 = abs(h * (_E1 * d1 + _E3 * d3 + _E4 * d4 + _E5 * d5 + _E6 * d6))
+                    s3 = atol + rtol * max(abs(y3), abs(q3))
+                    err = math.sqrt((err + (e3 / s3) ** 2) / 4.0)
+            except OverflowError:
+                # a trial stage or its error norm left the float range:
+                # reject the step
+                err = math.inf
             if err <= 1.0:
                 x += h
                 if err > 1e-30:

@@ -321,7 +321,7 @@ def _slab_pair_d(s_left: ScatterData, s_right: ScatterData, width: float,
 def averaged_transmittance_center_fluct(
         outer_left: Potential, outer_right: Potential, center_width: float,
         dist: HeightDistribution, E: float, samples: int = 100_000,
-        seed: int = 0, n_slab: int = 2048) -> FluctuationResult:
+        seed: int = 0) -> FluctuationResult:
     """Monte-Carlo mean transmittance with a fluctuating thin central slab.
 
     The two outer barriers touch the central slab (no gaps); only the slab
@@ -333,8 +333,8 @@ def averaged_transmittance_center_fluct(
         raise ValueError("need at least 1000 samples")
     if not (center_width > 0.0):
         raise ValueError("center slab width must be positive")
-    s_l = solve_exact(outer_left, E, n_slab)
-    s_r = solve_exact(outer_right, E, n_slab)
+    s_l = solve_exact(outer_left, E)
+    s_r = solve_exact(outer_right, E)
     k = s_l.k_right
     rng = np.random.default_rng(seed)
     hs = dist.sample(rng, samples)

@@ -183,16 +183,16 @@ def _golden_max(f: Callable[[float], float], a: float, b: float,
 
 
 def _polished_peaks(p: Potential, E_range: tuple[float, float], grid: int,
-                    threshold: float, n_slab: int = 2048):
+                    threshold: float):
     lo, hi = E_range
     if not (0.0 < lo < hi):
         raise ValueError("E range must satisfy 0 < lo < hi")
     if grid < 100:
         raise ValueError("grid must be >= 100")
     es = np.linspace(lo, hi, grid)
-    ds = solve_exact(p, es, n_slab).D
+    ds = solve_exact(p, es).D
     peaks: list[float] = []
-    f = lambda e: solve_exact(p, float(e), n_slab).D
+    f = lambda e: solve_exact(p, float(e)).D
     for i in range(1, grid - 1):
         if ds[i] >= ds[i - 1] and ds[i] >= ds[i + 1]:
             e_star, d_star = _golden_max(f, es[i - 1], es[i + 1])

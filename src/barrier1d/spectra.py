@@ -20,6 +20,10 @@ Two independent routes produce the levels:
   numerically from both outer boundaries and brackets the Wronskian
   mismatch at a midpoint.
 
+Both find their roots through :func:`_levels`, which certifies the count
+by Sturm oscillation (:func:`_level_count`), so a grid that misses a
+tightly split pair cannot make them agree on a wrong count.
+
 Outer boundaries default to hard walls at the outer well edges
 ("infinite"); "finite" matches decaying exponentials into semi-infinite
 outside barriers instead.
@@ -32,21 +36,22 @@ shrink only the barrier segments of the cell (see
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from ._kernels import (_cell_traces, _clip_trace, _cs, _shoot_mismatch,
-                       _transfer_product)
+from ._kernels import (_cell_traces, _clip_trace, _cs, _cs_entries,
+                       _shoot_mismatch, _transfer_product)
 from .potential import Potential, compress
 
 __all__ = [
     "WellSystem",
     "LevelSet",
     "LevelScan",
+    "LevelCountError",
     "BandSet",
     "bound_levels",
     "bound_levels_shooting",
@@ -184,36 +189,11 @@ def _matching_dets(ws: WellSystem, E: np.ndarray) -> np.ndarray:
     return np.linalg.det(m / scale)
 
 
-def _bracket_roots(f, xs: np.ndarray, fs: np.ndarray, rtol: float = 1e-12):
-    roots = []
-    sign = np.sign(fs)
-    for i in range(xs.size - 1):
-        if sign[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif sign[i] * sign[i + 1] < 0.0:
-            roots.append(float(brentq(f, xs[i], xs[i + 1], rtol=rtol, xtol=1e-300)))
-    return roots
-
-
 def bound_levels(ws: WellSystem, E_grid: int = 800) -> LevelSet:
-    """Bound levels from the interface-matching determinant.
-
-    Scans ``E_grid`` depths across (0, max depth), brackets every sign
-    change and bisects it to 1e-12 relative.  Warns when neighbouring
-    levels come closer than five grid steps (resolution risk).
-    """
-    if E_grid < 500:
-        raise ValueError("E_grid must be >= 500")
-    umax = ws.max_depth
-    es = np.linspace(umax * 1e-7, umax * (1.0 - 1e-9), E_grid)
-    fs = _matching_dets(ws, es)
-    f = lambda e: float(_matching_dets(ws, np.array([e]))[0])
-    roots = _bracket_roots(f, es, fs)
-    step = es[1] - es[0]
-    if len(roots) >= 2 and np.min(np.diff(roots)) < 5.0 * step:
-        warnings.warn("adjacent levels closer than 5 grid steps; "
-                      "raise E_grid to resolve them safely", stacklevel=2)
-    return LevelSet(tuple(roots), umax)
+    """Bound levels from the interface-matching determinant, bracketed on
+    ``E_grid`` depths across (0, max depth) and certified by the
+    oscillation count (see :func:`_levels`)."""
+    return _levels(ws, _matching_dets, E_grid)
 
 
 # ----------------------------------------------------------------------
@@ -250,14 +230,103 @@ def _shoot_values(ws: WellSystem, E: np.ndarray) -> np.ndarray:
 def bound_levels_shooting(ws: WellSystem, E_grid: int = 800) -> LevelSet:
     """Bound levels by two-sided numerical integration and Wronskian
     matching at the centre of the middle region; independent of the
-    determinant construction."""
+    determinant construction.  Bracketing and certification as in
+    :func:`bound_levels`."""
+    return _levels(ws, _shoot_values, E_grid)
+
+
+# ----------------------------------------------------------------------
+# certified level count
+#
+# Sturm oscillation: with the Pruefer angle theta = atan2(psi, psi') shot
+# inward from both outer boundaries (the right-hand shot on the mirrored
+# region list) to the match point of _shoot_values, the number of levels
+# deeper than E is floor((theta_left + theta_right) / pi).  theta only
+# crosses multiples of pi upwards (theta' = 1 where psi = 0), so it can be
+# unwrapped from atan2 alone across any slab in which psi changes sign at
+# most once: it ends within 2 pi above the multiple of pi below its start.
+# That holds for every evanescent region, and for every slab of an
+# oscillating region with q w < 1 < pi, so oscillating regions are cut
+# into 1 + floor(q w) equal slabs.
+
+
+class LevelCountError(RuntimeError):
+    """The oscillation count and the root brackets of a level route
+    disagree: levels closer than the float resolution, or a polish bracket
+    without a sign change."""
+
+
+def _level_count(ws: WellSystem, E: float) -> int:
+    """Number of levels deeper than the depth E."""
+    legs = list(zip(ws.region_q2(E)[0].tolist(), ws.region_widths().tolist()))
+    m = (len(legs) - 1) // 2
+    half = (legs[m][0], 0.5 * legs[m][1])
+    total = 0.0
+    for path in (legs[:m] + [half], legs[:m:-1] + [half]):
+        # mirrored, the right boundary condition reads as the left one
+        psi, dpsi = (1.0, math.sqrt(E)) if ws.outer == FINITE else (0.0, 1.0)
+        theta = math.atan2(psi, dpsi)
+        for q2, w in path:
+            n = 1 + int(math.sqrt(max(q2, 0.0)) * w)
+            if q2 < 0.0:
+                # the slab matrix over cosh(kappa w), which cannot overflow
+                ka = math.sqrt(-q2)
+                t = math.tanh(ka * w)
+                c, s, d = 1.0, t / ka, ka * t
+            else:
+                c, s = _cs_entries(q2, w / n)
+                d = -q2 * s
+            for _ in range(n):
+                psi, dpsi = c * psi + s * dpsi, d * psi + c * dpsi
+                big = max(abs(psi), abs(dpsi))
+                psi, dpsi = psi / big, dpsi / big
+                floor = math.pi * math.floor(theta / math.pi)
+                theta = floor + (math.atan2(psi, dpsi) - floor) % (2.0 * math.pi)
+        total += theta
+    return math.floor(total / math.pi)
+
+
+def _count_brackets(ws: WellSystem, a: float, b: float, na: int, nb: int):
+    """Bisect (a, b) on the level count until each piece holds one level."""
+    if na - nb <= 1:
+        if na < nb:
+            raise LevelCountError(f"level count rises with depth: {na} at {a:.17g}, "
+                                  f"{nb} at {b:.17g}")
+        return [(a, b)] * (na - nb)
+    mid = 0.5 * (a + b)
+    if not a < mid < b:
+        raise LevelCountError(f"{na - nb} levels within one ulp of depth {a:.17g}")
+    nm = _level_count(ws, mid)
+    return _count_brackets(ws, a, mid, na, nm) + _count_brackets(ws, mid, b, nm, nb)
+
+
+def _levels(ws: WellSystem, values, E_grid: int) -> LevelSet:
+    """Roots of ``values(ws, depths)`` (one route's matching function),
+    counted by :func:`_level_count`.
+
+    The sign changes of ``values`` on ``E_grid`` depths across (0, max
+    depth) are kept when their number equals the count of levels between
+    the grid ends.  Otherwise the range is bisected on the count until each
+    piece holds one level.  Each bracket is polished by brentq to 1e-12
+    relative.
+    """
     if E_grid < 500:
         raise ValueError("E_grid must be >= 500")
     umax = ws.max_depth
     es = np.linspace(umax * 1e-7, umax * (1.0 - 1e-9), E_grid)
-    fs = _shoot_values(ws, es)
-    f = lambda e: float(_shoot_values(ws, np.array([e]))[0])
-    roots = _bracket_roots(f, es, fs)
+    sign = np.sign(values(ws, es))
+    f = lambda e: float(values(ws, np.array([e]))[0])
+    cells = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
+    # a grid point that is a root brackets itself
+    brackets = [(es[i], es[i] if sign[i] == 0.0 else es[i + 1]) for i in cells]
+    n_top, n_bottom = _level_count(ws, es[0]), _level_count(ws, es[-1])
+    if len(brackets) != n_top - n_bottom:
+        brackets = _count_brackets(ws, es[0], es[-1], n_top, n_bottom)
+    try:
+        roots = [float(brentq(f, a, b, rtol=1e-12, xtol=1e-300)) for a, b in brackets]
+    except ValueError as exc:
+        # brentq's own check: a bracket without a sign change
+        raise LevelCountError(f"level bracket not resolved: {exc}") from None
     return LevelSet(tuple(roots), umax)
 
 
@@ -290,10 +359,11 @@ def level_scan(ws: WellSystem, vary: int | str, rng: tuple[float, float],
     """Repeat :func:`bound_levels` while one barrier width (``vary = j``)
     or all barrier widths (``vary = "coherent"``) sweep across ``rng``.
 
-    Levels are connected across steps by nearest-energy continuation;
-    appearing/disappearing levels are flagged in the row events and
-    ambiguous continuations (jump beyond half the local spacing) raise a
-    warning.
+    Levels of a 1-D well system never cross and their count is certified,
+    so each track is its level's index from the ground state (0 = ground).
+    A track at or above the previous step's count is marked "appear"; a
+    track at or above the new count gets a "disappear" row carrying its
+    last energy.
     """
     if steps < 20:
         raise ValueError("steps must be >= 20")
@@ -302,52 +372,19 @@ def level_scan(ws: WellSystem, vary: int | str, rng: tuple[float, float],
         raise ValueError("scan range must be positive")
     values = np.linspace(lo, hi, steps)
     rows: list[LevelScanRow] = []
-    tracks: dict[int, float] = {}
-    next_id = 0
-    for v in values:
+    prev: tuple[float, ...] = ()
+    for i, v in enumerate(values):
         sys_v = ws.with_coherent_barriers(float(v)) if vary == "coherent" \
             else ws.with_barrier(int(vary), float(v))
         levels = bound_levels(sys_v, E_grid).energies
-        if not tracks:
-            for e in levels:
-                rows.append(LevelScanRow(float(v), next_id, e, "none"))
-                tracks[next_id] = e
-                next_id += 1
-            continue
-        # greedy nearest-energy assignment
-        old_ids = list(tracks.keys())
-        pairs = sorted(
-            (abs(tracks[i] - e), i, j)
-            for i in old_ids for j, e in enumerate(levels)
-        )
-        assigned_old: dict[int, int] = {}
-        assigned_new: dict[int, int] = {}
-        for dist, i, j in pairs:
-            if i in assigned_old or j in assigned_new:
-                continue
-            assigned_old[i] = j
-            assigned_new[j] = i
-        spacing = (np.min(np.diff(levels)) if len(levels) > 1
-                   else (hi - lo))
-        new_tracks: dict[int, float] = {}
-        for j, e in enumerate(levels):
-            if j in assigned_new:
-                tid = assigned_new[j]
-                if abs(tracks[tid] - e) > 0.5 * spacing:
-                    warnings.warn(
-                        f"level tracking ambiguous near scan value {v:.6g}: "
-                        f"jump {abs(tracks[tid] - e):.3g} vs spacing {spacing:.3g}",
-                        stacklevel=2)
-                rows.append(LevelScanRow(float(v), tid, e, "none"))
-                new_tracks[tid] = e
-            else:
-                rows.append(LevelScanRow(float(v), next_id, e, "appear"))
-                new_tracks[next_id] = e
-                next_id += 1
-        for i in old_ids:
-            if i not in assigned_old:
-                rows.append(LevelScanRow(float(v), i, tracks[i], "disappear"))
-        tracks = new_tracks
+        n = len(levels)
+        n_prev = len(prev) if i else n
+        # levels run from the most weakly bound to the ground state
+        rows += [LevelScanRow(float(v), k, e, "appear" if k >= n_prev else "none")
+                 for k, e in zip(range(n - 1, -1, -1), levels)]
+        rows += [LevelScanRow(float(v), k, e, "disappear")
+                 for k, e in zip(range(n_prev - 1, n - 1, -1), prev)]
+        prev = levels
     return LevelScan(tuple(rows), tuple(float(v) for v in values))
 
 
@@ -377,7 +414,7 @@ class BandSet:
 
 
 def band_structure(cell: Potential, E_range: tuple[float, float],
-                   grid: int = 2000, n_slab: int = 2048) -> BandSet:
+                   grid: int = 2000) -> BandSet:
     """Allowed bands of the periodic repetition of ``cell``.
 
     An energy is allowed iff |trace M(E)| <= 2 for the unit-cell transfer
@@ -389,7 +426,7 @@ def band_structure(cell: Potential, E_range: tuple[float, float],
         raise ValueError("E range must satisfy 0 < lo < hi")
     if grid < 16:
         raise ValueError("grid too coarse")
-    widths, heights = cell.as_slabs(n_slab)
+    widths, heights = cell.as_slabs()
     es = np.linspace(lo, hi, grid)
     tr = _cell_traces(widths, heights, es)
     allowed = np.abs(tr) <= 2.0
@@ -415,14 +452,14 @@ def band_structure(cell: Potential, E_range: tuple[float, float],
 
 
 def compression_scan(cell: Potential, factors: Sequence[float],
-                     E_range: tuple[float, float], grid: int = 2000,
-                     n_slab: int = 2048) -> list[tuple[float, BandSet]]:
+                     E_range: tuple[float, float],
+                     grid: int = 2000) -> list[tuple[float, BandSet]]:
     """Band structure of the cell with barrier widths scaled by each factor."""
     out = []
     for f in factors:
         if not (0.0 < f <= 1.0):
             raise ValueError(f"compression factors must lie in (0, 1], got {f}")
-        out.append((float(f), band_structure(compress(cell, f), E_range, grid, n_slab)))
+        out.append((float(f), band_structure(compress(cell, f), E_range, grid)))
     return out
 
 

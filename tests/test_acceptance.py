@@ -265,20 +265,18 @@ def test_criterion_08_fluctuations_reduce_transparency():
 def test_criterion_09_bound_state_routes_and_scan_contrast():
     rng = np.random.default_rng(1009)
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(100):
-            n = int(rng.integers(1, 4))
-            wells = tuple((float(rng.uniform(2.0, 6.0)), float(rng.uniform(2.0, 5.0)))
-                          for _ in range(n))
-            bars = tuple(float(rng.uniform(0.8, 2.5)) for _ in range(n - 1))
-            outer = "infinite" if rng.random() < 0.5 else "finite"
-            ws = WellSystem(wells, bars, outer=outer)
-            det = bound_levels(ws).energies
-            sho = bound_levels_shooting(ws).energies
-            assert len(det) == len(sho)
-            for a, b in zip(det, sho):
-                worst = max(worst, abs(a - b) / max(a, 1e-12))
+    for _ in range(100):
+        n = int(rng.integers(1, 4))
+        wells = tuple((float(rng.uniform(2.0, 6.0)), float(rng.uniform(2.0, 5.0)))
+                      for _ in range(n))
+        bars = tuple(float(rng.uniform(0.8, 2.5)) for _ in range(n - 1))
+        outer = "infinite" if rng.random() < 0.5 else "finite"
+        ws = WellSystem(wells, bars, outer=outer)
+        det = bound_levels(ws).energies
+        sho = bound_levels_shooting(ws).energies
+        assert len(det) == len(sho)
+        for a, b in zip(det, sho):
+            worst = max(worst, abs(a - b) / max(a, 1e-12))
     assert worst < 1e-8
 
     # distinct wells: moving one separator barely moves the levels;
@@ -302,10 +300,8 @@ def test_criterion_09_bound_state_routes_and_scan_contrast():
                      (float(CM(2.8e-8)), float(CM(3.5e-8))), outer="finite")
     ws6 = WellSystem(((float(ERG(5e-12)), float(CM(9e-8))),) * 3,
                      (float(CM(2.8e-8)),) * 2, outer="finite")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        r5 = rel_shift(level_scan(ws5, 0, rng_cm, steps=24))
-        r6 = rel_shift(level_scan(ws6, "coherent", rng_cm, steps=24))
+    r5 = rel_shift(level_scan(ws5, 0, rng_cm, steps=24))
+    r6 = rel_shift(level_scan(ws6, "coherent", rng_cm, steps=24))
     assert r6 >= 5.0 * r5
     report(9, "bound-state routes agree; scan contrast",
            f"(levels worst rel diff {worst:.2e}, 100 systems; distinct-well "

@@ -231,6 +231,25 @@ steps = 20
     assert len({r[0] for r in rows}) == 20
 
 
+def test_wells_unresolvable_splitting_exits_3_with_typed_error(tmp_path, capsys):
+    # at 3e-7 cm the triplet splitting is below float resolution: the run
+    # fails loudly instead of reporting too few levels
+    cfg = write(tmp_path, "w.ini", """
+[wells]
+units = erg_cm
+depths = 5e-12,5e-12,5e-12
+widths = 9e-8,9e-8,9e-8
+barriers = 3e-7,3e-7
+outer = finite
+vary = coherent
+v_min = 3e-7
+v_max = 3e-7
+steps = 20
+""")
+    assert main(["wells", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 3
+    assert "LevelCountError" in capsys.readouterr().err
+
+
 def test_bands_compression_table(tmp_path):
     cfg = write(tmp_path, "b.ini", """
 [potential]

@@ -43,3 +43,16 @@ def test_two_pair_surface_keeps_designed_energy_resonant(tmp_path):
     ds = [float(r[2]) for r in rows if float(r[0]) == e_near]
     assert len(ds) == 40
     assert min(ds) > 0.99            # grid point sits ~1 meV off resonance
+
+
+def test_identical_wells_config_keeps_all_nine_levels(tmp_path):
+    out = tmp_path / "levels.csv"
+    assert main(["wells", "--config", str(CONFIG_DIR / "identical_wells_levels.ini"),
+                 "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln and not ln.startswith("#")][1:]
+    steps = sorted({float(r[0]) for r in rows})
+    assert len(steps) == 24
+    assert {r[3] for r in rows} == {"none"}
+    for v in steps:
+        assert sorted(int(r[1]) for r in rows if float(r[0]) == v) == list(range(9))

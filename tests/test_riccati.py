@@ -196,6 +196,14 @@ def test_real_form_survives_resonant_zero_crossing():
     assert abs(s.T - o.T) < 1e-8
 
 
+def test_overflowing_trial_stage_is_rejected_not_raised():
+    # on this opaque pair a trial stage of the complex form overflows
+    # exp(2ikx + 2 lnT); the step is rejected and retried shorter
+    p = build_rect_pair(0.9 / 0.0380998, 0.8, 1.5)
+    s = integrate_complex(p, 0.3, rtol=1e-6)
+    assert s.D == pytest.approx(solve_exact(p, 0.3).D, rel=1e-5)
+
+
 def test_mismatched_exit_medium():
     p = Potential((Segment(1.2, Constant(1.0)),), v_left=0.0, v_right=0.25)
     E = 0.8

@@ -1,13 +1,17 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barrier1d.potential import Constant, Potential, Segment
-from barrier1d.spectra import (WellSystem, band_structure, bound_levels,
-                               bound_levels_shooting, compression_scan,
-                               level_scan, tight_binding_energy)
+import barrier1d.spectra as spectra
+from barrier1d.spectra import (LevelCountError, LevelSet, WellSystem,
+                               _count_brackets, _level_count, band_structure,
+                               bound_levels, bound_levels_shooting,
+                               compression_scan, level_scan,
+                               tight_binding_energy)
 
 from conftest import kronig_penney_band_edges, single_finite_well_depths
 
@@ -71,20 +75,68 @@ def test_single_well_hard_walls_is_particle_in_box():
 
 def test_determinant_vs_shooting_randomized():
     rng = np.random.default_rng(51)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(30):
-            n = int(rng.integers(1, 4))
-            wells = tuple((float(rng.uniform(2.0, 6.0)), float(rng.uniform(2.0, 5.0)))
-                          for _ in range(n))
-            bars = tuple(float(rng.uniform(0.8, 2.5)) for _ in range(n - 1))
-            outer = "infinite" if rng.random() < 0.5 else "finite"
-            ws = WellSystem(wells, bars, outer=outer)
-            d = bound_levels(ws).energies
-            s = bound_levels_shooting(ws).energies
-            assert len(d) == len(s)
-            for a, b in zip(d, s):
-                assert a == pytest.approx(b, rel=1e-8)
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        wells = tuple((float(rng.uniform(2.0, 6.0)), float(rng.uniform(2.0, 5.0)))
+                      for _ in range(n))
+        bars = tuple(float(rng.uniform(0.8, 2.5)) for _ in range(n - 1))
+        outer = "infinite" if rng.random() < 0.5 else "finite"
+        ws = WellSystem(wells, bars, outer=outer)
+        d = bound_levels(ws).energies
+        s = bound_levels_shooting(ws).energies
+        assert len(d) == len(s)
+        for a, b in zip(d, s):
+            assert a == pytest.approx(b, rel=1e-8)
+
+
+def test_level_count_matches_particle_in_box():
+    U, a = 6.0, 2.5
+    ws = WellSystem(((U, a),), ())
+    for E in np.linspace(0.01, U - 0.01, 37):
+        # levels deeper than E: every m with (m pi / a)^2 < U - E
+        assert _level_count(ws, float(E)) == math.floor(math.sqrt(U - E) * a / math.pi)
+
+
+def test_three_identical_wells_give_all_six_levels():
+    # the default grid misses the tightly split pairs; the count finds them
+    ws = WellSystem(((4.0, 3.0),) * 3, (5.0, 5.0), outer="finite")
+    single = bound_levels(WellSystem(((4.0, 3.0),), (), outer="finite")).energies
+    det = bound_levels(ws).energies
+    sho = bound_levels_shooting(ws).energies
+    assert len(single) == 2 and len(det) == len(sho) == 6
+    for a, b in zip(det, sho):
+        assert a == pytest.approx(b, rel=1e-8)
+    for k, e0 in enumerate(single):
+        assert det[3 * k:3 * k + 3] == pytest.approx([e0] * 3, rel=1e-3)
+
+
+well = st.tuples(st.floats(1.0, 6.0), st.floats(0.5, 5.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(well, min_size=1, max_size=4), st.data(),
+       st.sampled_from(["infinite", "finite"]))
+def test_level_count_certifies_both_routes(wells, data, outer):
+    bars = data.draw(st.lists(st.floats(0.1, 3.0), min_size=len(wells) - 1,
+                              max_size=len(wells) - 1))
+    ws = WellSystem(tuple(wells), tuple(bars), outer=outer)
+    umax = ws.max_depth
+    det = bound_levels(ws).energies
+    sho = bound_levels_shooting(ws).energies
+    assert _level_count(ws, umax * 1e-7) == len(det) == len(sho)
+    counts = [_level_count(ws, float(E)) for E in np.linspace(umax * 1e-7, umax, 200)]
+    assert all(n1 >= n2 for n1, n2 in zip(counts, counts[1:]))
+    # between adjacent levels the count is the number of deeper levels
+    for k in range(len(det) - 1):
+        assert _level_count(ws, 0.5 * (det[k] + det[k + 1])) == len(det) - 1 - k
+
+
+def test_unresolvable_splitting_raises_typed_error(units):
+    # barriers so wide that the triplet splitting is below float resolution
+    ws = fig6_system(units).with_coherent_barriers(cm(units, 3e-7))
+    for route in (bound_levels, bound_levels_shooting):
+        with pytest.raises(LevelCountError):
+            route(ws)
 
 
 def test_distant_identical_wells_form_triplets():
@@ -93,9 +145,7 @@ def test_distant_identical_wells_form_triplets():
     U, a, b = 4.0, 3.0, 3.0
     ws3 = WellSystem(((U, a),) * 3, (b, b), outer="finite")
     single = bound_levels(WellSystem(((U, a),), (), outer="finite")).energies
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        trip = bound_levels(ws3, 6000).energies
+    trip = bound_levels(ws3, 6000).energies
     assert len(trip) == 3 * len(single)
     for e0 in single:
         cluster = [e for e in trip if abs(e - e0) < 0.05 * max(e0, 0.1)]
@@ -106,9 +156,7 @@ def test_distant_identical_wells_form_triplets():
 def test_vanishing_barrier_merges_wells():
     U, a = 4.0, 2.0
     merged = bound_levels(WellSystem(((U, 2 * a + 0.002),), ())).energies
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        near = bound_levels(WellSystem(((U, a), (U, a)), (0.002,)), 3000).energies
+    near = bound_levels(WellSystem(((U, a), (U, a)), (0.002,)), 3000).energies
     assert len(near) == len(merged)
     for x, y in zip(near, merged):
         assert x == pytest.approx(y, abs=0.02)
@@ -155,23 +203,61 @@ def test_scan_distinct_wells_levels_barely_move(units):
     assert max(shifts) < 0.15 * spacing
 
 
-def test_scan_identical_wells_levels_move_and_vanish(units):
+def test_scan_identical_wells_keep_nine_levels_and_shift_strongly(units):
     ws = fig6_system(units)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        scan = level_scan(ws, "coherent", (cm(units, 2.8e-8), cm(units, 5.6e-8)),
-                          steps=20)
-    events = {r.event for r in scan.rows}
-    assert "disappear" in events or "appear" in events
+    scan = level_scan(ws, "coherent", (cm(units, 2.8e-8), cm(units, 5.6e-8)),
+                      steps=20)
+    assert {r.event for r in scan.rows} == {"none"}
+    for v in scan.values:
+        assert sorted(r.level_index for r in scan.rows if r.scan_value == v) \
+            == list(range(9))
     lv0 = sorted(r.energy for r in scan.rows if r.scan_value == scan.values[0])
     spacing = float(np.mean(np.diff(lv0)))
-    shifts = []
-    for tid in range(scan.n_tracks()):
-        tr = scan.track(tid)
-        if len(tr) == len(scan.values):
-            es = [e for _, e in tr]
-            shifts.append(max(es) - min(es))
+    shifts = [max(e for _, e in scan.track(k)) - min(e for _, e in scan.track(k))
+              for k in range(scan.n_tracks())]
     assert max(shifts) > 0.3 * spacing
+
+
+def test_scan_identical_wells_level_appears_as_barriers_widen(units):
+    ws = fig6_system(units)
+    scan = level_scan(ws, "coherent", (cm(units, 2e-9), cm(units, 1e-8)), steps=20)
+    counts = [sum(r.scan_value == v and r.event != "disappear" for r in scan.rows)
+              for v in scan.values]
+    assert counts[0] == 8 and counts[-1] == 9
+    assert counts == sorted(counts)
+    events = [(r.scan_value, r.level_index, r.event) for r in scan.rows
+              if r.event != "none"]
+    assert len(events) == 1 and events[0][1:] == (8, "appear")
+    assert counts[scan.values.index(events[0][0])] == 9
+    # the new level is the most weakly bound one
+    first = [r for r in scan.rows if r.scan_value == events[0][0]]
+    assert min(first, key=lambda r: r.energy).level_index == 8
+
+
+def test_scan_labels_tracks_from_the_ground_state(monkeypatch):
+    # three levels up to barrier width 1.5, two beyond: the shallowest
+    # track disappears and keeps its last energy
+    def fake_levels(ws, E_grid):
+        b = ws.barriers[0]
+        depths = (0.1, 0.5, 0.9) if b < 1.5 else (0.6, 1.0)
+        return LevelSet(tuple(e + b for e in depths), 3.0)
+    monkeypatch.setattr(spectra, "bound_levels", fake_levels)
+    scan = level_scan(WellSystem(((3.0, 1.0),) * 2, (1.0,)), 0, (1.0, 2.0), steps=20)
+    step = [v for v in scan.values if v >= 1.5][0]
+    last = max(v for v in scan.values if v < 1.5)
+    rows = [(r.level_index, r.energy, r.event) for r in scan.rows if r.scan_value == step]
+    assert rows == [(1, 0.6 + step, "none"), (0, 1.0 + step, "none"),
+                    (2, 0.1 + last, "disappear")]
+    assert [r.level_index for r in scan.rows if r.scan_value == scan.values[0]] == [2, 1, 0]
+    assert {r.event for r in scan.rows} == {"none", "disappear"}
+
+
+def test_count_bisection_refuses_rising_or_unresolvable_counts():
+    ws = WellSystem(((3.0, 3.0),), ())
+    with pytest.raises(LevelCountError):
+        _count_brackets(ws, 1.0, 2.0, 1, 3)        # count rises with depth
+    with pytest.raises(LevelCountError):
+        _count_brackets(ws, 1.0, math.nextafter(1.0, 2.0), 3, 0)
 
 
 def test_scan_validation(units):
