@@ -6,13 +6,13 @@ arrays.  The caller's input picks one of two paths.  An energy grid runs
 vectorised over its energies: the slab entries :func:`_cs`, the products
 :func:`_transfer_products` (and the Bloch traces :func:`_cell_traces`
 built on them) and the RK4 shooting rows :func:`_rk4_rows`.  A single
-energy -- one solve, or one evaluation inside a brentq or golden-section
-polish -- runs scalar loops (:func:`_cs_entries`,
-:func:`_transfer_product`, :func:`_riccati_path`, :func:`_rk4_region`),
-because numpy's per-call overhead outweighs the work of one row.  The
-scalar loops take ``tolist()`` of their array arguments on entry, so they
-compute on Python floats and complex numbers: arithmetic on numpy scalars
-costs 3-4x more.  Measured on a 2-core VM (best of several runs):
+energy -- one solve, or one evaluation inside a Brent root polish
+(``spectra._brentq``) or a golden-section search -- runs scalar loops
+(:func:`_cs_entries`, :func:`_transfer_product`, :func:`_riccati_path`,
+:func:`_rk4_region`), because numpy's per-call overhead outweighs the
+work of one row.  The scalar loops take ``tolist()`` of their array
+arguments on entry, so they compute on Python floats and complex
+numbers: arithmetic on numpy scalars costs 3-4x more.  Measured on a 2-core VM (best of several runs):
 
 * ``solve_exact`` on a 12-barrier chain (23 slabs): one energy 23 us
   scalar against 600 us as a one-element grid; 2,000 energies 47 ms as

@@ -29,19 +29,19 @@ Outer boundaries default to hard walls at the outer well edges
 outside barriers instead.
 
 Band structure uses the Bloch criterion |trace M(E)| <= 2 on the unit-cell
-transfer matrix, with band edges refined by bisection.  Compression scans
-shrink only the barrier segments of the cell (see
+transfer matrix, with band edges refined by Brent's method.  Compression
+scans shrink only the barrier segments of the cell (see
 :func:`barrier1d.potential.compress`).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._kernels import (_cell_traces, _clip_trace, _cs, _cs_entries,
                        _shoot_mismatch, _transfer_product)
@@ -200,7 +200,7 @@ def bound_levels(ws: WellSystem, E_grid: int = 800) -> LevelSet:
 # shooting route (independent cross-check)
 #
 # The energy grid of bound_levels_shooting powers the RK4 step matrices of
-# all its energies at once (_kernels._rk4_rows); each brentq evaluation is
+# all its energies at once (_kernels._rk4_rows); each polish evaluation is
 # a single energy and runs the scalar float loop (_kernels._rk4_region).
 # Both give the same bits.  On a 3-well system (2-core VM) the 800-point
 # grid takes 2.2-3.4 ms, against 46-76 ms as 800 single-energy calls, and
@@ -233,6 +233,75 @@ def bound_levels_shooting(ws: WellSystem, E_grid: int = 800) -> LevelSet:
     determinant construction.  Bracketing and certification as in
     :func:`bound_levels`."""
     return _levels(ws, _shoot_values, E_grid)
+
+
+# ----------------------------------------------------------------------
+# root polish
+#
+# Brent's method (Brent, Algorithms for Minimization without Derivatives,
+# 1973, ch. 4) step for step as scipy ships it in optimize/Zeros/brentq.c,
+# on Python floats: it returns scipy.optimize.brentq's bits and raises its
+# errors, without the 0.6 s import of scipy.optimize.  Signs are compared
+# by sign bit, as in C, because f(a) * f(b) can underflow to zero.
+
+_RTOL = 4.0 * sys.float_info.epsilon
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = _RTOL) -> float:
+    """A root of ``f`` in [a, b]; f(a) and f(b) must differ in sign."""
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    def negative(v):
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf             # bisect unless a short step is accepted
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:               # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass                # C divides to inf or nan, and so bisects
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +376,8 @@ def _levels(ws: WellSystem, values, E_grid: int) -> LevelSet:
     The sign changes of ``values`` on ``E_grid`` depths across (0, max
     depth) are kept when their number equals the count of levels between
     the grid ends.  Otherwise the range is bisected on the count until each
-    piece holds one level.  Each bracket is polished by brentq to 1e-12
-    relative.
+    piece holds one level.  Each bracket is polished by :func:`_brentq`
+    to 1e-12 relative.
     """
     if E_grid < 500:
         raise ValueError("E_grid must be >= 500")
@@ -323,9 +392,9 @@ def _levels(ws: WellSystem, values, E_grid: int) -> LevelSet:
     if len(brackets) != n_top - n_bottom:
         brackets = _count_brackets(ws, es[0], es[-1], n_top, n_bottom)
     try:
-        roots = [float(brentq(f, a, b, rtol=1e-12, xtol=1e-300)) for a, b in brackets]
+        roots = [_brentq(f, a, b, rtol=1e-12, xtol=1e-300) for a, b in brackets]
     except ValueError as exc:
-        # brentq's own check: a bracket without a sign change
+        # _brentq's own checks: a bracket without a sign change, or a NaN value
         raise LevelCountError(f"level bracket not resolved: {exc}") from None
     return LevelSet(tuple(roots), umax)
 
@@ -419,7 +488,7 @@ def band_structure(cell: Potential, E_range: tuple[float, float],
 
     An energy is allowed iff |trace M(E)| <= 2 for the unit-cell transfer
     matrix M.  The grid locates the allowed runs; every band edge is then
-    refined by bisection on |trace| - 2.
+    polished on |trace| - 2 by :func:`_brentq`.
     """
     lo, hi = E_range
     if not (0.0 < lo < hi):
@@ -444,8 +513,8 @@ def band_structure(cell: Potential, E_range: tuple[float, float],
         j = i
         while j + 1 < grid and allowed[j + 1]:
             j += 1
-        e_lo = es[i] if i == 0 else brentq(g, es[i - 1], es[i], xtol=1e-14 * max(1.0, hi))
-        e_hi = es[j] if j == grid - 1 else brentq(g, es[j], es[j + 1], xtol=1e-14 * max(1.0, hi))
+        e_lo = es[i] if i == 0 else _brentq(g, es[i - 1], es[i], xtol=1e-14 * max(1.0, hi))
+        e_hi = es[j] if j == grid - 1 else _brentq(g, es[j], es[j + 1], xtol=1e-14 * max(1.0, hi))
         bands.append((float(e_lo), float(e_hi)))
         i = j + 1
     return BandSet(tuple(bands), (lo, hi), grid)

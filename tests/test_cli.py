@@ -1,6 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import barrier1d
 from barrier1d.cli import _parse_segments, config_from_header, main
 from barrier1d.potential import load_potential
 
@@ -312,3 +317,21 @@ def test_segments_key_and_potential_file_build_the_same_potential(tmp_path):
                 "segment sampled width=1.5 heights=0.1,0.4,0.2\n")
     spec = "const 2.8 0.9 ; gap 3.0 ; linear 4.0 0.2 0.15 ; sampled 1.5 0.1,0.4,0.2"
     assert _parse_segments(spec, "ev_angstrom") == load_potential(pot).segments
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # scipy.optimize alone costs more to import than any shipped command
+    # computes; the package must neither import scipy nor need it
+    config = Path(__file__).resolve().parents[1] / "configs" / "cell_bands_compression.ini"
+    script = ("import sys\n"
+              "from barrier1d.cli import main\n"
+              f"code = main(['bands', '--config', {str(config)!r}, "
+              f"'--out', {str(tmp_path / 'bands.csv')!r}])\n"
+              "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    src = str(Path(barrier1d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "[]"]

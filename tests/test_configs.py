@@ -1,22 +1,11 @@
-"""Every shipped example config must run clean end to end."""
-
-from pathlib import Path
+"""Every shipped example config must run clean end to end and reproduce
+its golden output (``tests/golden``, see ``tests/regenerate_goldens.py``)
+byte for byte."""
 
 import pytest
 
 from barrier1d.cli import main
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-COMMANDS = {
-    "two_pair_transmittance.ini": "transmit",
-    "resonant_gaps.ini": "resonance",
-    "distinct_wells_levels.ini": "wells",
-    "identical_wells_levels.ini": "wells",
-    "cell_bands_compression.ini": "bands",
-    "ensemble_fluctuation.ini": "ensemble",
-    "riccati_trajectory.ini": "riccati",
-}
+from regenerate_goldens import COMMANDS, CONFIG_DIR, read_golden, report
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -28,6 +17,9 @@ def test_shipped_config_runs(name, tmp_path, recwarn):
     lines = out.read_text().splitlines()
     data = [ln for ln in lines if ln and not ln.startswith("#")]
     assert len(data) >= 2            # header row plus at least one data row
+    new, golden = out.read_bytes(), read_golden(name)
+    assert golden is not None, f"no golden for {name}: run tests/regenerate_goldens.py"
+    assert new == golden, f"{name} moved from its golden:\n{report(golden, new)}"
 
 
 def test_two_pair_surface_keeps_designed_energy_resonant(tmp_path):
