@@ -12,7 +12,17 @@ energy -- one solve, or one evaluation inside a Brent root polish
 :func:`_rk4_region`), because numpy's per-call overhead outweighs the
 work of one row.  The scalar loops take ``tolist()`` of their array
 arguments on entry, so they compute on Python floats and complex
-numbers: arithmetic on numpy scalars costs 3-4x more.  Measured on a 2-core VM (best of several runs):
+numbers: arithmetic on numpy scalars costs 3-4x more.
+
+The rows of a grid need not share one potential.  A slab width or height
+handed to :func:`_cs` or :func:`_transfer_products` is either a scalar,
+shared by every row as before, or an array over the rows; that is how the
+CLI solves a block of gap widths of a transmit surface as one grid.  The
+slab loop keeps a few arrays over the rows alive and expands one slab at
+a time, never a slab x row array, so its memory is O(rows); the batch
+callers cap the rows of one grid at ``_BLOCK_ROWS``.
+
+Measured on a 2-core VM (best of several runs):
 
 * ``solve_exact`` on a 12-barrier chain (23 slabs): one energy 23 us
   scalar against 600 us as a one-element grid; 2,000 energies 47 ms as
@@ -51,6 +61,10 @@ import numpy as np
 
 _SCALE_LIMIT = 1e100
 
+# rows per block of the batch paths (the CLI transmit surface, the
+# fluctuation ensemble): it bounds their working memory
+_BLOCK_ROWS = 8192
+
 # ----------------------------------------------------------------------
 # slab matrix entries
 
@@ -72,25 +86,29 @@ def _cs_entries(q2, w):
 
 def _cs(q2, w):
     """Vectorised :func:`_cs_entries`: (C, S) arrays over an array of q2
-    values for one slab width w."""
+    values, for one slab whose width w is a scalar or an array over the
+    same rows."""
     t = q2 * w * w
     c = np.empty_like(q2)
     s = np.empty_like(q2)
     pos = t > 1e-6
     neg = t < -1e-6
     mid = ~(pos | neg)
+    rows = isinstance(w, np.ndarray)
     if pos.any():
+        wp = w[pos] if rows else w
         q = np.sqrt(q2[pos])
-        c[pos] = np.cos(q * w)
-        s[pos] = np.sin(q * w) / q
+        c[pos] = np.cos(q * wp)
+        s[pos] = np.sin(q * wp) / q
     if neg.any():
+        wn = w[neg] if rows else w
         ka = np.sqrt(-q2[neg])
-        c[neg] = np.cosh(ka * w)
-        s[neg] = np.sinh(ka * w) / ka
+        c[neg] = np.cosh(ka * wn)
+        s[neg] = np.sinh(ka * wn) / ka
     if mid.any():
         tm = t[mid]
         c[mid] = 1.0 - tm / 2.0 + tm * tm / 24.0
-        s[mid] = w * (1.0 - tm / 6.0 + tm * tm / 120.0)
+        s[mid] = (w[mid] if rows else w) * (1.0 - tm / 6.0 + tm * tm / 120.0)
     return c, s
 
 
@@ -129,9 +147,11 @@ def _clip_trace(tr, log_scale):
 
 
 def _transfer_products(widths, heights, energies):
-    """:func:`_transfer_product` for every energy of a grid at once: the
-    same slab loop, vectorised over energies.  Returns arrays (m11, m12,
-    m21, m22, log_scale) over ``energies``."""
+    """:func:`_transfer_product` for every row of a grid at once: the same
+    slab loop, vectorised over the rows.  ``energies`` holds one energy
+    per row; ``widths`` and ``heights`` iterate over the slabs, each entry
+    a scalar shared by all rows or an array over the rows.  Returns arrays
+    (m11, m12, m21, m22, log_scale) over the rows."""
     m11 = np.ones(energies.shape[0]); m12 = np.zeros_like(m11)
     m21 = np.zeros_like(m11); m22 = np.ones_like(m11)
     log_scale = np.zeros_like(m11)

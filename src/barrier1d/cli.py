@@ -57,8 +57,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._kernels import _BLOCK_ROWS
 from .compose import HeightDistribution, averaged_transmittance_center_fluct
-from .oracle import solve_exact
+from .oracle import _solve_grid, solve_exact
 from .potential import (_SEGMENT_FIELDS, EV_ANGSTROM, ERG_CM, NATURAL,
                         Constant, Potential, Segment, UnitSystem, _segment,
                         convert_in, convert_out, load_potential)
@@ -150,20 +151,22 @@ def _echo_lines(cfg: configparser.ConfigParser, command: str) -> list[str]:
 
 
 def _fmt_cell(v):
+    """Text of one cell; commands hand in Python numbers and strings."""
     if v is None:
         return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, float):
+        return repr(v)
     return str(v)
 
 
-def _write_table(path, fmt, header_lines, columns, rows):
-    rows = [[_fmt_cell(v) for v in row] for row in rows]
+def _write_table(path, fmt, header_lines, names, columns):
+    """Write a table given column by column: ``columns`` holds one
+    sequence of cells per name.  Each column is formatted once, and the
+    CSV and JSON rows are read off the same formatted columns."""
+    rows = list(zip(*(list(map(_fmt_cell, col)) for col in columns)))
     if fmt == "csv":
-        text = "\n".join(header_lines) + "\n" + ",".join(columns) + "\n"
-        text += "\n".join(",".join(r) for r in rows)
+        text = "\n".join(header_lines) + "\n" + ",".join(names) + "\n"
+        text += "\n".join(map(",".join, rows))
         text += "\n"
     else:
         meta = {}
@@ -175,7 +178,7 @@ def _write_table(path, fmt, header_lines, columns, rows):
             else:
                 k, _, v = body.partition(" = ")
                 meta[k.strip()] = v.strip()
-        text = json.dumps({"meta": meta, "columns": list(columns), "rows": rows},
+        text = json.dumps({"meta": meta, "columns": list(names), "rows": rows},
                           sort_keys=True, indent=1) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -186,16 +189,20 @@ def _write_table(path, fmt, header_lines, columns, rows):
 # ----------------------------------------------------------------------
 # commands
 
-def _transmit_cells(pot, energies):
-    """[D, ReT, ImT, ReR, ImR, status] per energy from one grid solve.  When
-    the grid raises, each energy is solved alone, so that only the rows
-    that fail read ``error:<type>``."""
+def _grid_columns(s):
+    """[D, ReT, ImT, ReR, ImR, status] columns of a grid solve."""
+    return [s.D.tolist(), s.T.real.tolist(), s.T.imag.tolist(),
+            s.R.real.tolist(), s.R.imag.tolist(), ["ok"] * len(s.D)]
+
+
+def _transmit_columns(pot, energies):
+    """Transmit columns of one potential over an energy array.  When the
+    grid raises, each energy is solved alone, so that only the rows that
+    fail read ``error:<type>``."""
     try:
-        s = solve_exact(pot, np.array(energies))
+        return _grid_columns(solve_exact(pot, energies))
     except Exception:  # numerical failure rows keep the sweep alive
-        return [_transmit_cells_at(pot, E) for E in energies]
-    return [[D, T.real, T.imag, R.real, R.imag, "ok"]
-            for D, T, R in zip(s.D, s.T, s.R)]
+        return list(zip(*(_transmit_cells_at(pot, E) for E in energies.tolist())))
 
 
 def _transmit_cells_at(pot, E):
@@ -204,6 +211,46 @@ def _transmit_cells_at(pot, E):
     except Exception as exc:
         return ["", "", "", "", "", f"error:{type(exc).__name__}"]
     return [s.D, s.T.real, s.T.imag, s.R.real, s.R.imag, "ok"]
+
+
+def _row_slabs(stacked, n_e):
+    """Per slab, the entry of ``stacked`` (potentials x slabs) that the
+    grid rows read: a scalar where every potential has the same value (so
+    a surface without an L axis runs the scalar-slab grid of a plain
+    energy grid), else the potentials' values each repeated over their
+    ``n_e`` rows.  One slab is expanded at a time, so no slab x row array
+    is built."""
+    for col in stacked.T:
+        yield col[0] if (col == col[0]).all() else np.repeat(col, n_e)
+
+
+def _transmit_surface(pots, energies):
+    """Transmit columns over the rows (potential, energy), potential-major,
+    for potentials that share their media and slab count.
+
+    Consecutive potentials are solved together as one grid, in blocks
+    that hold at most ``_BLOCK_ROWS`` rows and ``_BLOCK_ROWS`` stacked slab
+    entries (or one potential, when it alone has more), so the working
+    memory stays bounded however large the surface.  A block that raises
+    is solved again one potential at a time by :func:`_transmit_columns`.
+    """
+    n_e = len(energies)
+    per_block = max(1, _BLOCK_ROWS // max(n_e, len(pots[0].as_slabs()[0])))
+    cols = [[] for _ in range(6)]
+    for i in range(0, len(pots), per_block):
+        block = pots[i:i + per_block]
+        try:
+            widths, heights = (np.array(a) for a in zip(*(q.as_slabs() for q in block)))
+            s = _solve_grid(block[0], np.tile(energies, len(block)),
+                            _row_slabs(widths, n_e), _row_slabs(heights, n_e),
+                            np.repeat([q.extent for q in block], n_e))
+            parts = [_grid_columns(s)]
+        except Exception:  # numerical failure rows keep the sweep alive
+            parts = [_transmit_columns(q, energies) for q in block]
+        for part in parts:
+            for col, vals in zip(cols, part):
+                col += vals
+    return cols
 
 
 def run_transmit(cfg, out, fmt, tol):
@@ -219,30 +266,32 @@ def run_transmit(cfg, out, fmt, tol):
             raise ConfigError("e_steps must be >= 1")
         energies = [_e_in(units, v) for v in
                     np.linspace(_number(sec, "e_min"), _number(sec, "e_max"), n)]
-    gaps = [None]
-    gap_idx = None
+    pots = [p]
+    l_out = [""]
     if "l_min" in sec:
         gap_idx = _number(sec, "gap_segment", int, "-1")
         if gap_idx < 0 or gap_idx >= len(p.segments):
             raise ConfigError("gap_segment must index a segment of the potential")
         nl = _number(sec, "l_steps", int, "50")
+        if nl < 1:
+            raise ConfigError("l_steps must be >= 1")
         gaps = [_x_in(units, v) for v in
                 np.linspace(_number(sec, "l_min"), _number(sec, "l_max"), nl)]
-    rows = []
-    for L in gaps:
-        if L is None:
-            pot = p
-            l_out = ""
-        else:
-            segs = list(p.segments)
-            segs[gap_idx] = Segment(L, segs[gap_idx].profile, segs[gap_idx].compressible)
-            pot = Potential(tuple(segs), p.v_left, p.v_right)
-            l_out = _x_out(units, L)
-        for E, cells in zip(energies, _transmit_cells(pot, energies)):
-            rows.append([_e_out(units, E), l_out] + cells)
+        gap = p.segments[gap_idx]
+        pots = [Potential(p.segments[:gap_idx]
+                          + (Segment(L, gap.profile, gap.compressible),)
+                          + p.segments[gap_idx + 1:], p.v_left, p.v_right)
+                for L in gaps]
+        l_out = convert_out(units, US, length=np.array(gaps)).tolist()
+    energies = np.array(energies)
+    cells = _transmit_surface(pots, energies)
+    # each E and each L is formatted once: every L repeats the texts of E
+    e_txt = list(map(_fmt_cell, convert_out(units, US, energy=energies).tolist()))
+    l_txt = [t for t in map(_fmt_cell, l_out) for _ in e_txt]
     _write_table(out, fmt, _echo_lines(cfg, "transmit"),
-                 ["E", "L", "D", "ReT", "ImT", "ReR", "ImR", "status"], rows)
-    return 3 if all(row[-1] != "ok" for row in rows) else 0
+                 ["E", "L", "D", "ReT", "ImT", "ReR", "ImR", "status"],
+                 [e_txt * len(pots), l_txt] + cells)
+    return 3 if "ok" not in cells[-1] else 0
 
 
 def run_resonance(cfg, out, fmt, tol):
@@ -271,7 +320,8 @@ def run_resonance(cfg, out, fmt, tol):
             rows.append([u_c, a_c, e_c,
                          _x_out(units, l_closed), _x_out(units, l_search),
                          abs(_x_out(units, l_closed) - _x_out(units, l_search))])
-        _write_table(out, fmt, echo, ["U", "a", "E", "L_closed", "L_search", "delta"], rows)
+        _write_table(out, fmt, echo, ["U", "a", "E", "L_closed", "L_search", "delta"],
+                     zip(*rows))
         return 0
     if mode == "family":
         p, units = _potential_from_section(cfg, "potential")
@@ -288,7 +338,7 @@ def run_resonance(cfg, out, fmt, tol):
         for n, L in enumerate(fam.members()):
             d = transmittance_pair(s1, GapJoin(float(L), fam.k), s2).D
             rows.append([_x_out(units, float(L)), d, 0, n])
-        _write_table(out, fmt, echo, ["E_or_L", "D", "family_index", "n"], rows)
+        _write_table(out, fmt, echo, ["E_or_L", "D", "family_index", "n"], zip(*rows))
         return 0
     if mode == "energies":
         p, units = _potential_from_section(cfg, "potential")
@@ -297,7 +347,7 @@ def run_resonance(cfg, out, fmt, tol):
         peaks = find_resonant_E(p, (lo, hi), _number(sec, "grid", int, "400"))
         rows = [[_e_out(units, e), solve_exact(p, e).D, i, -1]
                 for i, e in enumerate(peaks)]
-        _write_table(out, fmt, echo, ["E_or_L", "D", "family_index", "n"], rows)
+        _write_table(out, fmt, echo, ["E_or_L", "D", "family_index", "n"], zip(*rows))
         return 0
     if mode == "density":
         units = sec.get("units", EV_ANGSTROM)
@@ -311,7 +361,7 @@ def run_resonance(cfg, out, fmt, tol):
         rows = [[r.n_barriers, r.count,
                  "" if math.isnan(r.min_spacing) else _e_out(units, r.min_spacing)]
                 for r in table]
-        _write_table(out, fmt, echo, ["N", "count", "min_spacing"], rows)
+        _write_table(out, fmt, echo, ["N", "count", "min_spacing"], zip(*rows))
         return 0
     raise ConfigError(f"unknown resonance mode {mode!r}")
 
@@ -330,10 +380,10 @@ def run_riccati(cfg, out, fmt, tol):
         traj = integrate_alpha_form(p, e, rtol=rtol)
     else:
         raise ConfigError(f"unknown form {form!r}")
-    rows = [[_x_out(units, r[0]), r[1], r[2], r[3], r[4], r[5], r[6]]
-            for r in traj.to_csv_rows()]
+    x, *rest = traj.to_csv_rows().T
     _write_table(out, fmt, _echo_lines(cfg, "riccati"),
-                 ["x", "rho", "phi_rev", "phi", "delta", "ReT", "ImT"], rows)
+                 ["x", "rho", "phi_rev", "phi", "delta", "ReT", "ImT"],
+                 [convert_out(units, US, length=x).tolist()] + [c.tolist() for c in rest])
     return 0
 
 
@@ -355,7 +405,7 @@ def run_wells(cfg, out, fmt, tol):
     rows = [[_x_out(units, r.scan_value), r.level_index,
              _e_out(units, r.energy), r.event] for r in scan.rows]
     _write_table(out, fmt, _echo_lines(cfg, "wells"),
-                 ["scan_value", "level_index", "energy", "event"], rows)
+                 ["scan_value", "level_index", "energy", "event"], zip(*rows))
     return 0
 
 
@@ -371,7 +421,7 @@ def run_bands(cfg, out, fmt, tol):
         for i, (e_lo, e_hi) in enumerate(bs.bands):
             rows.append([f, i, _e_out(units, e_lo), _e_out(units, e_hi)])
     _write_table(out, fmt, _echo_lines(cfg, "bands"),
-                 ["factor", "band_index", "E_lo", "E_hi"], rows)
+                 ["factor", "band_index", "E_lo", "E_hi"], zip(*rows))
     return 0
 
 
@@ -388,7 +438,7 @@ def run_ensemble(cfg, out, fmt, tol, seed):
         samples=_number(sec, "samples", int, "100000"), seed=seed)
     rows = [[res.mean_D, res.half_width, res.D_at_mean, res.samples, res.seed]]
     _write_table(out, fmt, _echo_lines(cfg, "ensemble"),
-                 ["mean_D", "half_width", "D_at_mean", "samples", "seed"], rows)
+                 ["mean_D", "half_width", "D_at_mean", "samples", "seed"], zip(*rows))
     return 0
 
 

@@ -128,7 +128,7 @@ def solve_exact(p: Potential, E: float | np.ndarray,
     in the grid raises, as it does for a single energy.
     """
     if isinstance(E, np.ndarray) and E.ndim:
-        return _solve_grid(p, E, n_slab)
+        return _solve_grid(p, E, *p.as_slabs(n_slab), p.extent)
     if not (E > p.v_left and E > p.v_right):
         raise _below_floors(p, E)
     k_l = math.sqrt(E - p.v_left)
@@ -145,14 +145,20 @@ def solve_exact(p: Potential, E: float | np.ndarray,
     return _scatter_data(a12, a21, a22, k_l, k_r, scale, p.extent)
 
 
-def _solve_grid(p: Potential, E: np.ndarray, n_slab: int) -> ScatterData:
-    """:func:`solve_exact` over a 1-D energy array."""
+def _solve_grid(p: Potential, E: np.ndarray, widths, heights, extent) -> ScatterData:
+    """:func:`solve_exact` over the rows of a grid, row i at energy E[i].
+
+    ``widths`` and ``heights`` iterate over the slabs between the media of
+    ``p``; each entry is a scalar shared by all rows or an array over the
+    rows (see :func:`_kernels._transfer_products`), so one grid can hold
+    the rows of several potentials.  ``extent`` is a scalar or an array
+    over the rows.
+    """
     open_ = (E > p.v_left) & (E > p.v_right)
     if not open_.all():
         raise _below_floors(p, E[~open_][0])
     k_l = np.sqrt(E - p.v_left)
     k_r = np.sqrt(E - p.v_right)
-    widths, heights = p.as_slabs(n_slab)
     # an opaque slab overflows cosh/sinh to inf; the check below raises
     with np.errstate(over="ignore", invalid="ignore"):
         m11, m12, m21, m22, log_scale = _transfer_products(widths, heights, E)
@@ -160,4 +166,4 @@ def _solve_grid(p: Potential, E: np.ndarray, n_slab: int) -> ScatterData:
     if not (np.isfinite(a22) & (np.abs(a22) > 0.0)).all():
         raise ConditioningError(_LOST_CONDITIONING)
     scale = np.where(log_scale < 700.0, np.exp(-log_scale), 0.0)
-    return _scatter_data(a12, a21, a22, k_l, k_r, scale, p.extent)
+    return _scatter_data(a12, a21, a22, k_l, k_r, scale, extent)

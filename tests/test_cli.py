@@ -5,9 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import barrier1d
 from barrier1d.cli import _parse_segments, config_from_header, main
-from barrier1d.potential import load_potential
+from barrier1d.oracle import ConditioningError, solve_exact
+from barrier1d.potential import Potential, Segment, load_potential
 
 FIG_PAIR = """
 [sweep]
@@ -116,6 +120,99 @@ def test_config_error_exit_code(tmp_path):
         assert f"{key} = {value}" in body
         bad = write(tmp_path, f"bad_{key}.ini", body)
         assert main(["transmit", "--config", bad]) == 2
+    # so are empty and negative step counts
+    for l_steps in ("0", "-2"):
+        bad = write(tmp_path, f"bad_l{l_steps}.ini", FIG_PAIR + f"""
+l_min = 1.0
+l_max = 8.0
+l_steps = {l_steps}
+gap_segment = 1
+""")
+        assert main(["transmit", "--config", bad]) == 2
+
+
+def _surface(tmp_path, segments, e_range, e_steps, l_range, l_steps, gap):
+    """CSV rows of a natural-units transmit surface, split into cells."""
+    cfg = write(tmp_path, "s.ini", f"""
+[potential]
+units = natural
+segments = {segments}
+
+[transmit]
+e_min = {e_range[0]}
+e_max = {e_range[1]}
+e_steps = {e_steps}
+l_min = {l_range[0]}
+l_max = {l_range[1]}
+l_steps = {l_steps}
+gap_segment = {gap}
+""")
+    out = tmp_path / "s.csv"
+    code = main(["transmit", "--config", cfg, "--out", str(out)])
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln and not ln.startswith("#")][1:]
+    assert len(rows) == e_steps * l_steps
+    return code, _parse_segments(segments, "natural"), rows
+
+
+def _with_width(segs, i, L):
+    return Potential(segs[:i] + (Segment(L, segs[i].profile),) + segs[i + 1:])
+
+
+def _ok_cells(s):
+    """[D, ReT, ImT, ReR, ImR, status] texts per energy of a grid solve."""
+    return [[*map(repr, vals), "ok"] for vals in zip(
+        s.D.tolist(), s.T.real.tolist(), s.T.imag.tolist(),
+        s.R.real.tolist(), s.R.imag.tolist())]
+
+
+def _hex(cells):
+    return [[float(c).hex() if c else c for c in r[:5]] + [r[5]] for r in cells]
+
+
+@pytest.mark.parametrize("segments, e_steps, l_steps", [
+    # 9,000 rows: two blocks of whole L rows
+    ("const 0.8 1.2 ; gap 1.5 ; const 0.6 0.9", 100, 90),
+    # 2,051 slabs: three L rows per block
+    ("const 0.8 1.2 ; linear 1.0 0.3 0.4 ; const 0.6 0.9", 12, 7),
+    ("const 0.8 1.2 ; sampled 1.2 0.2,0.9,0.5 ; const 0.6 0.9", 12, 7),
+], ids=["constant", "linear", "sampled"])
+def test_transmit_surface_rows_equal_per_L_solves(tmp_path, segments, e_steps, l_steps):
+    code, segs, rows = _surface(tmp_path, segments, (0.05, 1.6), e_steps,
+                                (0.5, 3.0), l_steps, 1)
+    assert code == 0
+    es = np.linspace(0.05, 1.6, e_steps)
+    ls = np.linspace(0.5, 3.0, l_steps).tolist()
+    expected = [c for L in ls for c in _ok_cells(solve_exact(_with_width(segs, 1, L), es))]
+    assert _hex([r[2:] for r in rows]) == _hex(expected)
+    assert [r[:2] for r in rows] == [[repr(E), repr(L)] for L in ls for E in es.tolist()]
+
+
+def test_transmit_surface_keeps_per_L_failure_rows(tmp_path):
+    # cosh(kappa w) of the scanned barrier overflows at the widest L and
+    # lowest E: those rows fail alone, as in one solve per L
+    code, segs, rows = _surface(tmp_path, "const 300 1.0 ; gap 1.0 ; const 0.5 1.0",
+                                (0.1, 0.9), 9, (100.0, 1500.0), 8, 0)
+    assert code == 0
+    es = np.linspace(0.1, 0.9, 9)
+    expected = []
+    for L in np.linspace(100.0, 1500.0, 8).tolist():
+        pot = _with_width(segs, 0, L)
+        try:
+            expected += _ok_cells(solve_exact(pot, es))
+            continue
+        except ConditioningError:
+            pass
+        for E in es.tolist():
+            try:
+                s = solve_exact(pot, E)
+            except ConditioningError:
+                expected.append([""] * 5 + ["error:ConditioningError"])
+                continue
+            expected.append([*map(repr, (s.D, s.T.real, s.T.imag, s.R.real, s.R.imag)), "ok"])
+    statuses = [r[7] for r in rows]
+    assert "error:ConditioningError" in statuses and "ok" in statuses
+    assert _hex([r[2:] for r in rows]) == _hex(expected)
 
 
 def test_numerical_failure_rows_are_marked(tmp_path):

@@ -1,14 +1,17 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from barrier1d._kernels import _BLOCK_ROWS
 from barrier1d.compose import (GapJoin, HeightDistribution, LossModel,
                                LossRangeError, averaged_transmittance_center_fluct,
                                compose_chain, compose_pair, compose_pair_lossy,
                                lossy_gap_data, resonance_condition_met,
                                three_barrier_closed_form, transmittance_pair)
+from barrier1d.compose import _slab_pair_d
 from barrier1d.oracle import ScatterData, free_data, solve_exact
 from barrier1d.potential import Constant, Potential, Segment, build_rect_pair
 from barrier1d.resonance import rect_pair_resonant_L
@@ -234,6 +237,38 @@ def test_fluct_seed_consistency(units):
                                              samples=20_000, seed=202)
     combined = math.hypot(r1.half_width / 1.96, r2.half_width / 1.96)
     assert abs(r1.mean_D - r2.mean_D) < 3.0 * combined
+
+
+@pytest.mark.parametrize("kind", ["uniform", "normal"])
+def test_fluct_blocks_keep_the_bits_of_one_evaluation(units, kind):
+    # two whole blocks and a partial one against one pass over all samples
+    left, right, w_c, mean, E = _fluct_setup(units)
+    dist = HeightDistribution(kind, mean, 0.2 * mean)
+    samples = 2 * _BLOCK_ROWS + 17
+    res = averaged_transmittance_center_fluct(left, right, w_c, dist, E,
+                                              samples=samples, seed=7)
+    s_l, s_r = solve_exact(left, E), solve_exact(right, E)
+    hs = dist.sample(np.random.default_rng(7), samples)
+    d = _slab_pair_d(s_l, s_r, w_c, hs, E, s_l.k_right)
+    ref = (float(np.mean(d)),
+           1.96 * float(np.std(d, ddof=1) / math.sqrt(samples)),
+           float(_slab_pair_d(s_l, s_r, w_c, np.array([mean]), E, s_l.k_right)[0]))
+    got = (res.mean_D, res.half_width, res.D_at_mean)
+    assert [v.hex() for v in got] == [v.hex() for v in ref]
+
+
+def test_fluct_peak_memory_is_bounded(units):
+    left, right, w_c, mean, E = _fluct_setup(units)
+    dist = HeightDistribution("uniform", mean, 0.2 * mean)
+    averaged_transmittance_center_fluct(left, right, w_c, dist, E, samples=1000)
+    tracemalloc.start()
+    try:
+        averaged_transmittance_center_fluct(left, right, w_c, dist, E, samples=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # heights and D take 1.6 MB; a full-length evaluation peaked at 17.6 MB
+    assert peak < 6e6
 
 
 def test_fluct_validation(units):

@@ -2,6 +2,8 @@
 its golden output (``tests/golden``, see ``tests/regenerate_goldens.py``)
 byte for byte."""
 
+import json
+
 import pytest
 
 from barrier1d.cli import main
@@ -20,6 +22,22 @@ def test_shipped_config_runs(name, tmp_path, recwarn):
     new, golden = out.read_bytes(), read_golden(name)
     assert golden is not None, f"no golden for {name}: run tests/regenerate_goldens.py"
     assert new == golden, f"{name} moved from its golden:\n{report(golden, new)}"
+
+
+@pytest.mark.parametrize("name", ["two_pair_transmittance.ini", "cell_bands_compression.ini"])
+def test_json_output_mirrors_the_csv_golden(name, tmp_path):
+    out = tmp_path / "out.json"
+    assert main([COMMANDS[name], "--config", str(CONFIG_DIR / name), "--out", str(out),
+                 "--format", "json"]) == 0
+    doc = json.loads(out.read_text())
+    lines = read_golden(name).decode().splitlines()
+    header = [ln[2:] for ln in lines if ln.startswith("# ")]
+    names, *rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    meta = dict(ln.removeprefix("cfg ").split(" = ", 1) for ln in header)
+    meta["sweep.format"] = "json"
+    assert doc["meta"] == meta
+    assert doc["columns"] == names
+    assert doc["rows"] == rows
 
 
 def test_two_pair_surface_keeps_designed_energy_resonant(tmp_path):
