@@ -12,7 +12,11 @@ energy -- one solve, or one evaluation inside a Brent root polish
 :func:`_rk4_region`), because numpy's per-call overhead outweighs the
 work of one row.  The scalar loops take ``tolist()`` of their array
 arguments on entry, so they compute on Python floats and complex
-numbers: arithmetic on numpy scalars costs 3-4x more.
+numbers: arithmetic on numpy scalars costs 3-4x more.  One exception: a
+single energy on a stack of at least ``_VECTOR_SLABS`` slabs (a sliced
+ramp or sampled profile) takes all its slab entries from one :func:`_cs`
+call over the slabs, then runs the same float product; a few numpy calls
+cost less there than a Python call per slab.
 
 The rows of a grid need not share one potential.  A slab width or height
 handed to :func:`_cs` or :func:`_transfer_products` is either a scalar,
@@ -27,17 +31,24 @@ Measured on a 2-core VM (best of several runs):
 * ``solve_exact`` on a 12-barrier chain (23 slabs): one energy 23 us
   scalar against 600 us as a one-element grid; 2,000 energies 47 ms as
   single-energy calls against 2.2 ms as one grid;
-* ``solve_exact`` on a 2,049-slab profile: one energy 1.4 ms scalar; 50
-  energies 69 ms as single-energy calls against 93 ms as one grid, 2,000
-  energies 3.8 s against 0.29 s;
+* ``solve_exact`` on a 2,049-slab profile: one energy 0.73-0.77 ms with
+  its entries from one :func:`_cs` call, against 1.2 ms with a
+  :func:`_cs_entries` call per slab; 50 energies 38-43 ms as
+  single-energy calls against 67-78 ms as one grid, 2,000 energies 1.6 s
+  against 0.16-0.18 s;
+* :func:`_transfer_product` alone: 2,049 slabs 0.73-0.75 ms against
+  1.09-1.18 ms with a :func:`_cs_entries` call per slab, 128 slabs 63 us
+  against 73-80 us; the two break even between 64 and 128 slabs;
 * shooting mismatch on a 3-well system (both paths raise the RK4 step
   matrix to its power by repeated squaring): one energy 0.06-0.09 ms
   scalar against 1.1-1.6 ms through :func:`_rk4_rows`; 800 energies
   46-76 ms as single-energy calls against 2.2-3.4 ms as one grid.
 
-Shooting gives the same bits on both paths.  Slab products agree to
-rounding: numpy's ``cosh``/``sinh`` differ from libm's in the last bit at
-times, and opaque stacks amplify that.
+Shooting gives the same bits on both paths.  So do slab products of at
+least ``_VECTOR_SLABS`` slabs, whose entries come from :func:`_cs` on both
+paths.  Shorter products agree to rounding: numpy's ``cosh``/``sinh``
+differ from libm's in the last bit at times, and opaque stacks amplify
+that.
 
 Transfer matrices act on (psi, psi') and for a constant slab with
 q^2 = E - U read
@@ -60,6 +71,10 @@ import cmath
 import numpy as np
 
 _SCALE_LIMIT = 1e100
+
+# slabs from which a single-energy product takes its entries from one
+# vectorised _cs call (the measured break-even lies between 64 and 128)
+_VECTOR_SLABS = 96
 
 # rows per block of the batch paths (the CLI transmit surface, the
 # fluctuation ensemble): it bounds their working memory
@@ -116,18 +131,35 @@ def _transfer_product(widths, q2s):
     """Ordered product of slab matrices, left to right.
 
     Returns (m11, m12, m21, m22, log_scale): the true matrix is
-    exp(log_scale) times the returned entries.
+    exp(log_scale) times the returned entries.  A stack of at least
+    ``_VECTOR_SLABS`` slabs takes its entries from one :func:`_cs` call,
+    so it returns the bits of its row of :func:`_transfer_products`; an
+    opaque slab then gives inf or NaN entries instead of OverflowError.
     """
     m11 = 1.0; m12 = 0.0; m21 = 0.0; m22 = 1.0
     log_scale = 0.0
     lim = _SCALE_LIMIT
-    for w, q2 in zip(widths.tolist(), q2s.tolist()):
-        c, s = _cs_entries(q2, w)
-        d = -q2 * s
+    # the max(abs(...)) tests only run once an entry leaves [-lim, lim]
+    # (or is NaN), which is rare
+    if len(q2s) < _VECTOR_SLABS:
+        for w, q2 in zip(widths.tolist(), q2s.tolist()):
+            c, s = _cs_entries(q2, w)
+            d = -q2 * s
+            m11, m12, m21, m22 = (c * m11 + s * m21, c * m12 + s * m22,
+                                  d * m11 + c * m21, d * m12 + c * m22)
+            if not (-lim <= m11 <= lim and -lim <= m12 <= lim
+                    and -lim <= m21 <= lim and -lim <= m22 <= lim):
+                big = max(max(abs(m11), abs(m12)), max(abs(m21), abs(m22)))
+                if big > lim:
+                    m11 /= big; m12 /= big; m21 /= big; m22 /= big
+                    log_scale += math.log(big)
+        return m11, m12, m21, m22, log_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = _cs(q2s, widths)
+        d = -q2s * s
+    for c, s, d in zip(c.tolist(), s.tolist(), d.tolist()):
         m11, m12, m21, m22 = (c * m11 + s * m21, c * m12 + s * m22,
                               d * m11 + c * m21, d * m12 + c * m22)
-        # the max(abs(...)) test only runs once an entry leaves [-lim, lim]
-        # (or is NaN), which is rare
         if not (-lim <= m11 <= lim and -lim <= m12 <= lim
                 and -lim <= m21 <= lim and -lim <= m22 <= lim):
             big = max(max(abs(m11), abs(m12)), max(abs(m21), abs(m22)))
@@ -414,7 +446,8 @@ def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, c
                         mode = 0
             else:
                 fac = 0.9 * err ** -0.2
-                if fac < 0.2:
+                # a NaN error norm gives a NaN factor: shrink the step
+                if not fac >= 0.2:
                     fac = 0.2
                 h *= fac
                 if h < hmin:

@@ -58,15 +58,28 @@ CM = 1e-2                       # m
 # ----------------------------------------------------------------------
 # profiles / segments
 
+def _check_finite(what: str, *values) -> None:
+    """Reject NaN and +-inf where they enter: no solver can use them."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{what} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class Constant:
     height: float
+
+    def __post_init__(self):
+        _check_finite("segment height", self.height)
 
 
 @dataclass(frozen=True)
 class Linear:
     start_height: float
     slope: float
+
+    def __post_init__(self):
+        _check_finite("linear segment start and slope", self.start_height, self.slope)
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,7 @@ class Sampled:
         object.__setattr__(self, "heights", tuple(float(h) for h in self.heights))
         if len(self.heights) < 2:
             raise ValueError("Sampled profile needs at least 2 node values")
+        _check_finite("sampled heights", *self.heights)
 
 
 Profile = Constant | Linear | Sampled
@@ -142,6 +156,7 @@ class Potential:
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
+        _check_finite("medium floors v_left and v_right", self.v_left, self.v_right)
 
     @property
     def extent(self) -> float:

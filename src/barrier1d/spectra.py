@@ -82,11 +82,11 @@ class WellSystem:
             raise ValueError(f"{len(self.wells)} wells need {len(self.wells) - 1} "
                              f"barriers, got {len(self.barriers)}")
         for u, a in self.wells:
-            if u <= 0.0 or a <= 0.0:
-                raise ValueError("well depths and widths must be positive")
+            if not (0.0 < u < math.inf and 0.0 < a < math.inf):
+                raise ValueError("well depths and widths must be positive and finite")
         for b in self.barriers:
-            if b <= 0.0:
-                raise ValueError("barrier widths must be positive")
+            if not 0.0 < b < math.inf:
+                raise ValueError("barrier widths must be positive and finite")
         if self.outer not in (INFINITE, FINITE):
             raise ValueError(f"outer must be {INFINITE!r} or {FINITE!r}")
 

@@ -120,6 +120,10 @@ def test_config_error_exit_code(tmp_path):
         assert f"{key} = {value}" in body
         bad = write(tmp_path, f"bad_{key}.ini", body)
         assert main(["transmit", "--config", bad]) == 2
+    # so is a height that is not a finite number
+    bad = write(tmp_path, "bad_nan.ini", "[potential]\nunits = natural\n"
+                "segments = const 1.0 nan\n\n[riccati]\nenergy = 0.3\nform = real\n")
+    assert main(["riccati", "--config", bad]) == 2
     # so are empty and negative step counts
     for l_steps in ("0", "-2"):
         bad = write(tmp_path, f"bad_l{l_steps}.ini", FIG_PAIR + f"""

@@ -1,19 +1,22 @@
 """The vectorised grid kernels must agree with the scalar single-energy
-paths: bit for bit for shooting, to rounding for slab products.  The
+paths: bit for bit for shooting and for slab products of at least
+``_VECTOR_SLABS`` slabs, to rounding for shorter slab products.  The
 scalar loops compute on Python numbers and rescale as a max(|m_ij|) test
 would."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from barrier1d._kernels import (RICCATI_ALPHA, RICCATI_COMPLEX, RICCATI_REAL,
-                                STATUS_OK, _SCALE_LIMIT, _cell_traces,
+                                STATUS_OK, _SCALE_LIMIT, _VECTOR_SLABS, _cell_traces,
                                 _clip_trace, _cs, _cs_entries, _riccati_path,
                                 _rk4_region, _rk4_rows, _shoot_mismatch,
                                 _transfer_product, _transfer_products)
-from barrier1d.potential import Constant, Linear, Potential, Segment
+from barrier1d.oracle import ConditioningError, solve_exact
+from barrier1d.potential import Constant, Linear, Potential, Sampled, Segment
 from barrier1d.spectra import _MAX_PHASE_STEP, WellSystem, _shoot_values
 
 
@@ -62,21 +65,68 @@ def _max_abs_product(widths, q2s):
     return m11, m12, m21, m22, log_scale
 
 
+def _long_opaque_stack(n):
+    # n slabs of alternating tall barriers and shallow wells, each thin
+    # enough for cosh to stay finite while the product rescales many times
+    rng = np.random.default_rng(n)
+    widths = rng.uniform(0.2, 0.6, n)
+    heights = np.where(np.arange(n) % 2 == 0, rng.uniform(300.0, 600.0, n),
+                       rng.uniform(-2.0, 0.0, n))
+    return widths, heights, np.linspace(0.05, 700.0, 60)
+
+
 def test_transfer_product_rescales_like_the_max_abs_loop():
-    widths, heights, energies = _opaque_stack()
+    # below _VECTOR_SLABS slabs the product keeps the float loop's bits
+    stacks = [_opaque_stack(), _long_opaque_stack(_VECTOR_SLABS - 1)]
+    for widths, heights, energies in stacks:
+        rescaled = 0
+        for e in energies:
+            got = _transfer_product(widths, e - heights)
+            want = _max_abs_product(widths, e - heights)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            rescaled += got[4] > 0.0
+        assert 0 < rescaled < energies.size
+
+
+def _long_stacks():
+    ramp = Potential((Segment(6.0, Linear(-0.4, 0.5)), Segment(0.7, Constant(1.1))))
+    rng = np.random.default_rng(4)
+    sampled = Potential((Segment(0.5, Constant(0.3)),
+                         Segment(5.0, Sampled(tuple(rng.uniform(-0.3, 1.4, 9))))))
+    es = np.linspace(0.02, 3.0, 40)
+    return {"linear": (*ramp.as_slabs(), es), "sampled": (*sampled.as_slabs(), es),
+            "opaque": _long_opaque_stack(_VECTOR_SLABS),
+            "opaque_long": _long_opaque_stack(2049)}
+
+
+@pytest.mark.parametrize("stack", ["linear", "sampled", "opaque", "opaque_long"])
+def test_long_transfer_product_has_the_bits_of_its_grid_row(stack):
+    widths, heights, energies = _long_stacks()[stack]
+    assert widths.size >= _VECTOR_SLABS
+    grid = _transfer_products(widths, heights, energies)
     rescaled = 0
-    for e in energies:
+    for i, e in enumerate(energies):
         got = _transfer_product(widths, e - heights)
-        want = _max_abs_product(widths, e - heights)
-        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert [v.hex() for v in got] == [float(g[i]).hex() for g in grid]
         rescaled += got[4] > 0.0
-    assert 0 < rescaled < energies.size
+    if stack.startswith("opaque"):
+        assert 0 < rescaled < energies.size
+
+
+def test_long_opaque_profile_raises_conditioning_error_without_a_warning():
+    # every slab of the ramp has kappa*w near 2,000: cosh overflows
+    p = Potential((Segment(2048.0, Linear(4e6, 1.0)),))
+    assert p.as_slabs()[0].size >= _VECTOR_SLABS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConditioningError):
+            solve_exact(p, 1.0)
 
 
 def test_scalar_kernels_return_python_numbers():
-    widths, heights, energies = _opaque_stack()
-    for e in (energies[0], energies[-1]):
-        assert all(type(v) is float for v in _transfer_product(widths, e - heights))
+    for widths, heights, energies in (_opaque_stack(), _long_opaque_stack(2049)):
+        for e in (energies[0], energies[-1]):
+            assert all(type(v) is float for v in _transfer_product(widths, e - heights))
     # a ramp strong enough to hand every form over to its polar variables
     p = Potential((Segment(3.0, Linear(0.4, 0.3)), Segment(1.0, Constant(0.9))))
     x0, w, u0, sl = p.as_linear_pieces()

@@ -83,6 +83,17 @@ def test_segment_validation():
     Segment(1.0, Sampled((-1.0, 0.0, 2.0)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_heights_and_floors_are_rejected(bad):
+    # a NaN or infinite height has no solution; each constructor refuses it
+    # rather than let a solver hang or blame the conditioning
+    for make in (lambda: Constant(bad), lambda: Linear(bad, 0.1),
+                 lambda: Linear(0.5, bad), lambda: Sampled((0.2, bad, 0.4)),
+                 lambda: Potential((), v_left=bad), lambda: Potential((), v_right=bad)):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
 def test_compress_identity():
     p = build_rect_pair(0.9, 1.3, 2.0)
     q = compress(p, 1.0)

@@ -1,9 +1,14 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import barrier1d
 from barrier1d.compose import LossModel
 from barrier1d.oracle import solve_exact
 from barrier1d.potential import (Constant, Linear, Potential, Segment,
@@ -273,3 +278,27 @@ def test_trajectory_csv_rows_shape():
     assert rows.shape[1] == 7
     t_mag = np.hypot(rows[:, 5], rows[:, 6])
     np.testing.assert_allclose(t_mag ** 2 + rows[:, 1] ** 2, 1.0, atol=1e-9)
+
+
+def test_huge_finite_heights_end_in_integration_error():
+    # heights near the float limit make the step error norm NaN; the step
+    # must shrink to underflow instead of turning NaN and looping forever.
+    # The integrations run in a subprocess, so a hang fails the test.
+    script = ("from barrier1d.potential import Constant, Linear, Potential, Segment\n"
+              "from barrier1d.riccati import (IntegrationError, integrate_alpha_form,\n"
+              "                               integrate_complex, integrate_real)\n"
+              "for prof in (Constant(1e200), Constant(1e300), Linear(1e300, 1e300)):\n"
+              "    p = Potential((Segment(1.0, prof),))\n"
+              "    for f in (integrate_complex, integrate_real, integrate_alpha_form):\n"
+              "        try:\n"
+              "            f(p, 1.0)\n"
+              "            print('returned')\n"
+              "        except IntegrationError:\n"
+              "            print('IntegrationError')\n")
+    src = str(Path(barrier1d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["IntegrationError"] * 9

@@ -184,6 +184,13 @@ def test_well_system_validation():
         WellSystem(((0.0, 1.0),), ())                     # flat "well"
     with pytest.raises(ValueError):
         WellSystem(((3.0, 1.0),), (), outer="periodic")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            WellSystem(((bad, 1.0),), ())                 # depth
+        with pytest.raises(ValueError, match="finite"):
+            WellSystem(((3.0, bad),), ())                 # width
+        with pytest.raises(ValueError, match="finite"):
+            WellSystem(((3.0, 1.0), (3.0, 1.0)), (bad,))  # barrier
 
 
 # ----------------------------------------------------------------------
