@@ -15,40 +15,49 @@ arguments on entry, so they compute on Python floats and complex
 numbers: arithmetic on numpy scalars costs 3-4x more.  One exception: a
 single energy on a stack of at least ``_VECTOR_SLABS`` slabs (a sliced
 ramp or sampled profile) takes all its slab entries from one :func:`_cs`
-call over the slabs, then runs the same float product; a few numpy calls
-cost less there than a Python call per slab.
+call over the slabs and multiplies adjacent slab pairs in one vectorised
+step, so its float product runs over the pairs, half as many steps; a
+few numpy calls cost less there than a Python call per slab.  A grid
+pairs the slabs of such a stack the same way, one :func:`_cs` call over
+both slabs of a pair, so the two paths keep giving the same bits.
 
 The rows of a grid need not share one potential.  A slab width or height
 handed to :func:`_cs` or :func:`_transfer_products` is either a scalar,
 shared by every row as before, or an array over the rows; that is how the
 CLI solves a block of gap widths of a transmit surface as one grid.  The
-slab loop keeps a few arrays over the rows alive and expands one slab at
-a time, never a slab x row array, so its memory is O(rows); the batch
-callers cap the rows of one grid at ``_BLOCK_ROWS``.
+slab loop keeps a few arrays over the rows alive and expands one slab
+(or pair) at a time, never a slab x row array, so its memory is
+O(rows); the batch callers cap the rows of one grid at ``_BLOCK_ROWS``.
 
-Measured on a 2-core VM (best of several runs):
+Measured on a 2-core VM (best, or best to median, of several runs):
 
 * ``solve_exact`` on a 12-barrier chain (23 slabs): one energy 23 us
   scalar against 600 us as a one-element grid; 2,000 energies 47 ms as
   single-energy calls against 2.2 ms as one grid;
-* ``solve_exact`` on a 2,049-slab profile: one energy 0.73-0.77 ms with
-  its entries from one :func:`_cs` call, against 1.2 ms with a
-  :func:`_cs_entries` call per slab; 50 energies 38-43 ms as
-  single-energy calls against 67-78 ms as one grid, 2,000 energies 1.6 s
-  against 0.16-0.18 s;
-* :func:`_transfer_product` alone: 2,049 slabs 0.73-0.75 ms against
-  1.09-1.18 ms with a :func:`_cs_entries` call per slab, 128 slabs 63 us
-  against 73-80 us; the two break even between 64 and 128 slabs;
+* ``solve_exact`` on a 2,049-slab profile, with paired slabs: one
+  energy 0.4-0.5 ms, against 0.7-0.9 ms for the unpaired product and
+  1.2 ms with a :func:`_cs_entries` call per slab; 50 energies 25-26 ms
+  as single-energy calls against 44-51 ms as one grid, 100 energies
+  47-64 ms against 49-54 ms, 400 energies 191-232 ms against 72-78 ms,
+  2,000 energies 1.6 s against 0.17 s;
+* :func:`_transfer_product` alone: 2,049 slabs 0.45-0.47 ms paired
+  against 0.68-0.91 ms unpaired and 1.09-1.18 ms with a
+  :func:`_cs_entries` call per slab; 128 slabs 55-57 us, the same as
+  unpaired, against 73-80 us with a call per slab; the vectorised
+  entries and the per-slab loop break even between 64 and 128 slabs;
 * shooting mismatch on a 3-well system (both paths raise the RK4 step
   matrix to its power by repeated squaring): one energy 0.06-0.09 ms
   scalar against 1.1-1.6 ms through :func:`_rk4_rows`; 800 energies
   46-76 ms as single-energy calls against 2.2-3.4 ms as one grid.
 
 Shooting gives the same bits on both paths.  So do slab products of at
-least ``_VECTOR_SLABS`` slabs, whose entries come from :func:`_cs` on both
-paths.  Shorter products agree to rounding: numpy's ``cosh``/``sinh``
-differ from libm's in the last bit at times, and opaque stacks amplify
-that.
+least ``_VECTOR_SLABS`` slabs, whose entries come from :func:`_cs` and
+whose pairs come from :func:`_pair_entries` on both paths.  Pairing
+rounds no worse than the slab-by-slab product: the two agree within
+1.4e-14 of the largest entry on the tests' ramp and sampled profile and
+within 8.5e-12 on their opaque stacks.  Shorter products agree to
+rounding: numpy's ``cosh``/``sinh`` differ from libm's in the last bit
+at times, and opaque stacks amplify that.
 
 Transfer matrices act on (psi, psi') and for a constant slab with
 q^2 = E - U read
@@ -65,12 +74,15 @@ overflow.
 
 from __future__ import annotations
 
-import math
 import cmath
+import itertools
+import math
 
 import numpy as np
 
 _SCALE_LIMIT = 1e100
+_LIMIT_EXP = math.frexp(_SCALE_LIMIT)[1]
+_LN2 = math.log(2.0)
 
 # slabs from which a single-energy product takes its entries from one
 # vectorised _cs call (the measured break-even lies between 64 and 128)
@@ -127,14 +139,42 @@ def _cs(q2, w):
     return c, s
 
 
+def _scaled_slabs(c, s, d):
+    """Slab entries (C, S, D = -q^2 S), arrays over slabs or rows, with
+    every slab whose largest |entry| exceeds ``_SCALE_LIMIT`` divided by
+    the power of two 2**e that brings that entry to the binade of
+    ``_SCALE_LIMIT``.  Returns (c, s, d, e): e is an int array, 0 where no
+    slab was scaled, or a plain 0 if none was.  A power of two scales
+    exactly, so both paths of a paired product see the same bits.  The
+    pair of two opaque slabs stays below 1e201, far from overflow, where
+    slabs scaled down to unit size would let the running product drift
+    toward underflow."""
+    big = np.maximum(np.maximum(np.abs(c), np.abs(s)), np.abs(d))
+    over = big > _SCALE_LIMIT
+    if not over.any():
+        return c, s, d, 0
+    e = np.where(over, np.frexp(big)[1] - _LIMIT_EXP, 0)
+    return np.ldexp(c, -e), np.ldexp(s, -e), np.ldexp(d, -e), e
+
+
+def _pair_entries(ca, sa, da, cb, sb, db):
+    """Entries (p11, p12, p21, p22) of the product [[cb, sb], [db, cb]] @
+    [[ca, sa], [da, ca]] of slab a and the slab b after it; both paths
+    form their pairs here, so they round alike."""
+    return cb * ca + sb * da, cb * sa + sb * ca, db * ca + cb * da, db * sa + cb * ca
+
+
 def _transfer_product(widths, q2s):
     """Ordered product of slab matrices, left to right.
 
     Returns (m11, m12, m21, m22, log_scale): the true matrix is
     exp(log_scale) times the returned entries.  A stack of at least
     ``_VECTOR_SLABS`` slabs takes its entries from one :func:`_cs` call,
-    so it returns the bits of its row of :func:`_transfer_products`; an
-    opaque slab then gives inf or NaN entries instead of OverflowError.
+    scales opaque slabs by powers of two (:func:`_scaled_slabs`), forms
+    the products of adjacent slab pairs in one vectorised step and runs
+    the float product over the pairs, half as many steps; it returns the
+    bits of its row of :func:`_transfer_products`, and an opaque slab
+    gives inf or NaN entries instead of OverflowError.
     """
     m11 = 1.0; m12 = 0.0; m21 = 0.0; m22 = 1.0
     log_scale = 0.0
@@ -154,19 +194,22 @@ def _transfer_product(widths, q2s):
                     m11 /= big; m12 /= big; m21 /= big; m22 /= big
                     log_scale += math.log(big)
         return m11, m12, m21, m22, log_scale
+    if len(q2s) % 2:  # a zero-width slab, the identity, ends an odd stack
+        widths = np.append(widths, 0.0); q2s = np.append(q2s, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         c, s = _cs(q2s, widths)
-        d = -q2s * s
-    for c, s, d in zip(c.tolist(), s.tolist(), d.tolist()):
-        m11, m12, m21, m22 = (c * m11 + s * m21, c * m12 + s * m22,
-                              d * m11 + c * m21, d * m12 + c * m22)
+        c, s, d, e = _scaled_slabs(c, s, -q2s * s)
+        pairs = _pair_entries(c[0::2], s[0::2], d[0::2], c[1::2], s[1::2], d[1::2])
+    for p11, p12, p21, p22 in zip(*(x.tolist() for x in pairs)):
+        m11, m12, m21, m22 = (p11 * m11 + p12 * m21, p11 * m12 + p12 * m22,
+                              p21 * m11 + p22 * m21, p21 * m12 + p22 * m22)
         if not (-lim <= m11 <= lim and -lim <= m12 <= lim
                 and -lim <= m21 <= lim and -lim <= m22 <= lim):
             big = max(max(abs(m11), abs(m12)), max(abs(m21), abs(m22)))
             if big > lim:
                 m11 /= big; m12 /= big; m21 /= big; m22 /= big
                 log_scale += math.log(big)
-    return m11, m12, m21, m22, log_scale
+    return m11, m12, m21, m22, log_scale + int(np.sum(e)) * _LN2
 
 
 def _clip_trace(tr, log_scale):
@@ -178,21 +221,53 @@ def _clip_trace(tr, log_scale):
                     tr * np.exp(np.where(over, 0.0, log_scale)))
 
 
-def _transfer_products(widths, heights, energies):
-    """:func:`_transfer_product` for every row of a grid at once: the same
-    slab loop, vectorised over the rows.  ``energies`` holds one energy
-    per row; ``widths`` and ``heights`` iterate over the slabs, each entry
-    a scalar shared by all rows or an array over the rows.  Returns arrays
-    (m11, m12, m21, m22, log_scale) over the rows."""
-    m11 = np.ones(energies.shape[0]); m12 = np.zeros_like(m11)
-    m21 = np.zeros_like(m11); m22 = np.ones_like(m11)
-    log_scale = np.zeros_like(m11)
+def _slab_steps(widths, heights, energies):
+    """Per slab, the entries of its matrix over the rows and the exponent
+    0: the steps of a short grid product."""
     for w, h in zip(widths, heights):
         q2 = energies - h
         c, s = _cs(q2, w)
-        d = -q2 * s
-        m11, m12, m21, m22 = (c * m11 + s * m21, c * m12 + s * m22,
-                              d * m11 + c * m21, d * m12 + c * m22)
+        yield c, s, -q2 * s, c, 0
+
+
+def _pair_steps(widths, heights, energies):
+    """Per pair of adjacent slabs, the entries of its product over the
+    rows (one :func:`_cs` call over both slabs) and the power-of-two
+    exponent that :func:`_scaled_slabs` took out of it.  The same steps,
+    in the same arithmetic, as the long path of :func:`_transfer_product`,
+    which also pairs the last slab of an odd stack with a zero-width one."""
+    slabs = zip(widths, heights)
+    if len(widths) % 2:
+        slabs = itertools.chain(slabs, [(0.0, 0.0)])
+    w2 = np.empty((2,) + energies.shape)
+    h2 = np.empty_like(w2)
+    for (wa, ha), (wb, hb) in zip(slabs, slabs):
+        w2[0] = wa; w2[1] = wb
+        h2[0] = ha; h2[1] = hb
+        q2 = energies - h2
+        c, s = _cs(q2, w2)
+        c, s, d, e = _scaled_slabs(c, s, -q2 * s)
+        yield (*_pair_entries(c[0], s[0], d[0], c[1], s[1], d[1]),
+               e[0] + e[1] if isinstance(e, np.ndarray) else 0)
+
+
+def _transfer_products(widths, heights, energies):
+    """:func:`_transfer_product` for every row of a grid at once: the same
+    product, vectorised over the rows.  ``energies`` holds one energy per
+    row, in an array of any shape; ``widths`` and ``heights`` are sized
+    iterables over the slabs, each entry a scalar shared by all rows or an
+    array over the rows.  From ``_VECTOR_SLABS`` slabs on the product runs
+    over adjacent slab pairs, as the single-energy one does.  Returns
+    arrays (m11, m12, m21, m22, log_scale) in the shape of ``energies``."""
+    m11 = np.ones(energies.shape); m12 = np.zeros_like(m11)
+    m21 = np.zeros_like(m11); m22 = np.ones_like(m11)
+    log_scale = np.zeros_like(m11)
+    exp2 = 0
+    steps = _slab_steps if len(widths) < _VECTOR_SLABS else _pair_steps
+    for p11, p12, p21, p22, e in steps(widths, heights, energies):
+        m11, m12, m21, m22 = (p11 * m11 + p12 * m21, p11 * m12 + p12 * m22,
+                              p21 * m11 + p22 * m21, p21 * m12 + p22 * m22)
+        exp2 = exp2 + e
         big = np.maximum(np.maximum(np.abs(m11), np.abs(m12)),
                          np.maximum(np.abs(m21), np.abs(m22)))
         over = big > _SCALE_LIMIT
@@ -200,7 +275,7 @@ def _transfer_products(widths, heights, energies):
             big = np.where(over, big, 1.0)
             m11 /= big; m12 /= big; m21 /= big; m22 /= big
             log_scale += np.log(big)
-    return m11, m12, m21, m22, log_scale
+    return m11, m12, m21, m22, log_scale + exp2 * _LN2
 
 
 def _cell_traces(widths, heights, energies):

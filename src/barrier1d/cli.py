@@ -213,15 +213,25 @@ def _transmit_cells_at(pot, E):
     return [s.D, s.T.real, s.T.imag, s.R.real, s.R.imag, "ok"]
 
 
-def _row_slabs(stacked, n_e):
+class _RowSlabs:
     """Per slab, the entry of ``stacked`` (potentials x slabs) that the
     grid rows read: a scalar where every potential has the same value (so
     a surface without an L axis runs the scalar-slab grid of a plain
     energy grid), else the potentials' values each repeated over their
-    ``n_e`` rows.  One slab is expanded at a time, so no slab x row array
-    is built."""
-    for col in stacked.T:
-        yield col[0] if (col == col[0]).all() else np.repeat(col, n_e)
+    ``n_e`` rows.  One slab is expanded at a time, as it is read, so no
+    slab x row array is built; ``len`` gives the slab count, from which
+    the kernel picks its product (see :func:`_kernels._transfer_products`)."""
+
+    def __init__(self, stacked, n_e):
+        self.stacked = stacked
+        self.n_e = n_e
+
+    def __len__(self):
+        return self.stacked.shape[1]
+
+    def __iter__(self):
+        for col in self.stacked.T:
+            yield col[0] if (col == col[0]).all() else np.repeat(col, self.n_e)
 
 
 def _transmit_surface(pots, energies):
@@ -242,7 +252,7 @@ def _transmit_surface(pots, energies):
         try:
             widths, heights = (np.array(a) for a in zip(*(q.as_slabs() for q in block)))
             s = _solve_grid(block[0], np.tile(energies, len(block)),
-                            _row_slabs(widths, n_e), _row_slabs(heights, n_e),
+                            _RowSlabs(widths, n_e), _RowSlabs(heights, n_e),
                             np.repeat([q.extent for q in block], n_e))
             parts = [_grid_columns(s)]
         except Exception:  # numerical failure rows keep the sweep alive

@@ -113,7 +113,7 @@ def _scatter_data(a12, a21, a22, k_l, k_r, scale, extent) -> ScatterData:
                        k_left=k_l, k_right=k_r, extent=extent)
 
 
-def solve_exact(p: Potential, E: float | np.ndarray,
+def solve_exact(p: Potential, E: float | np.ndarray | list | tuple,
                 n_slab: int = 2048) -> ScatterData:
     """Exact scattering coefficients of a piecewise potential at energy E.
 
@@ -121,12 +121,16 @@ def solve_exact(p: Potential, E: float | np.ndarray,
     slabs each (midpoint sampled).  Both media must be open channels
     (E above both floors).
 
-    ``E`` may also be a 1-D array of energies: one slab product,
-    vectorised over the grid, then serves every energy, and each field of
-    the returned :class:`ScatterData` except ``extent`` and ``loss`` is an
-    array over E.  An energy below a floor or a lost conditioning anywhere
-    in the grid raises, as it does for a single energy.
+    ``E`` may also be an array of energies, of any shape, or a list or
+    tuple of them: one slab product, vectorised over the grid, then
+    serves every energy, and each field of the returned
+    :class:`ScatterData` except ``extent`` and ``loss`` is an array in
+    the shape of E, holding the values of the raveled grid.  An energy
+    below a floor or a lost conditioning anywhere in the grid raises, as
+    it does for a single energy.
     """
+    if isinstance(E, (list, tuple)):
+        E = np.asarray(E, dtype=float)
     if isinstance(E, np.ndarray) and E.ndim:
         return _solve_grid(p, E, *p.as_slabs(n_slab), p.extent)
     if not (E > p.v_left and E > p.v_right):

@@ -131,6 +131,24 @@ def test_energy_grid_solve_matches_single_energies(make):
                                        err_msg=name)
 
 
+@pytest.mark.parametrize("slabs", ["short", "long"])
+def test_energy_lists_and_arrays_of_any_shape_solve_as_their_raveled_grid(slabs):
+    # 2 slabs, or 2,049 (a paired product)
+    p = (Potential((Segment(1.0, Constant(1.5)), Segment(0.4, Constant(0.2))))
+         if slabs == "short" else
+         Potential((Segment(6.0, Linear(-0.4, 0.5)), Segment(0.7, Constant(1.1)))))
+    es = np.array([0.6, 0.7, 0.8, 0.9, 1.0, 1.1])
+    flat = solve_exact(p, es)
+    for E in ([0.6, 0.7], (0.6, 0.7, 0.8), es.reshape(2, 3), es.reshape(3, 2),
+              es.reshape(6, 1), es[:4].reshape(2, 2)):
+        got = solve_exact(p, E)
+        n = np.size(E)
+        for name in ("T", "R", "T_rev", "R_rev", "k_left", "k_right"):
+            field = getattr(got, name)
+            assert np.shape(field) == np.shape(E), name
+            assert np.array_equal(np.ravel(field), getattr(flat, name)[:n]), name
+
+
 def test_energy_grid_solve_rejects_a_closed_channel_anywhere():
     p = Potential((Segment(1.0, Constant(0.5)),), v_left=0.0, v_right=1.0)
     with pytest.raises(ValueError, match="0.8"):
