@@ -16,7 +16,8 @@ routine for energy grids.
 from .potential import (Constant, Linear, Potential, Sampled, Segment,
                         UnitSystem, build_rect_pair, compress, load_potential,
                         save_potential, wave_number)
-from .oracle import ConditioningError, ScatterData, free_data, solve_exact
+from .oracle import (Barrier1dError, ConditioningError, ScatterData, free_data,
+                     solve_exact)
 from .compose import (FluctuationResult, GapJoin, HeightDistribution,
                       LossModel, LossRangeError, PairTransmittance,
                       ResonantDenominatorError,

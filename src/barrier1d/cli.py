@@ -42,7 +42,14 @@ Config file grammar (INI / key=value sections)
 The separate potential *file* format is documented in
 :mod:`barrier1d.potential` (``load_potential``).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes
+----------
+0 success.  2 configuration or file error: a bad or missing config key, a
+missing or malformed potential file, an output file that cannot be
+written.  3 typed numerical failure: a :class:`barrier1d.Barrier1dError`
+or ``ValueError`` from the solvers, or a ``transmit`` table without an
+``ok`` row.  Any other exception is a bug; it propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ import numpy as np
 from . import __version__
 from ._kernels import _BLOCK_ROWS
 from .compose import HeightDistribution, averaged_transmittance_center_fluct
-from .oracle import _solve_grid, solve_exact
+from .oracle import Barrier1dError, _solve_grid, solve_exact
 from .potential import (_SEGMENT_FIELDS, EV_ANGSTROM, ERG_CM, NATURAL,
                         Constant, Potential, Segment, UnitSystem, _segment,
                         convert_in, convert_out, load_potential)
@@ -87,16 +94,22 @@ def _parse(raw: str, key: str, kind=float):
                           f"{kind.__name__}") from None
 
 
+def _value(sec, key, default):
+    """Text of ``key`` in a config section, else ``default``; a missing
+    key without a default is a configuration error."""
+    if key not in sec and default is None:
+        raise ConfigError(f"missing key {key!r}")
+    return sec.get(key, default)
+
+
 def _number(sec, key, kind=float, default=None):
-    """``kind`` value of ``key`` in a config section (KeyError when it is
-    missing and has no default)."""
-    return _parse(sec[key] if default is None else sec.get(key, default), key, kind)
+    """``kind`` value of ``key`` in a config section."""
+    return _parse(_value(sec, key, default), key, kind)
 
 
 def _numbers(sec, key, kind=float, default=None):
     """Comma-separated list of ``kind`` values of ``key``."""
-    raw = sec[key] if default is None else sec.get(key, default)
-    return [_parse(v, key, kind) for v in raw.split(",")]
+    return [_parse(v, key, kind) for v in _value(sec, key, default).split(",")]
 
 
 def _parse_segments(spec: str, units: str) -> tuple[Segment, ...]:
@@ -125,7 +138,10 @@ def _potential_from_section(cfg: configparser.ConfigParser,
     if units not in (NATURAL, EV_ANGSTROM, ERG_CM):
         raise ConfigError(f"unknown units {units!r}")
     if "file" in sec:
-        return load_potential(sec["file"], US), units
+        try:
+            return load_potential(sec["file"], US), units
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"potential file: {exc}") from exc
     if "segments" not in sec:
         raise ConfigError(f"[{section}] needs 'segments' or 'file'")
     v_l = _e_in(units, _number(sec, "v_left", default="0"))
@@ -171,46 +187,33 @@ def _write_table(path, fmt, header_lines, names, columns):
     else:
         meta = {}
         for line in header_lines:
-            body = line[2:]
-            if body.startswith("cfg "):
-                k, _, v = body[4:].partition(" = ")
-                meta[k.strip()] = v.strip()
-            else:
-                k, _, v = body.partition(" = ")
-                meta[k.strip()] = v.strip()
+            k, _, v = line[2:].removeprefix("cfg ").partition(" = ")
+            meta[k.strip()] = v.strip()
         text = json.dumps({"meta": meta, "columns": list(names), "rows": rows},
                           sort_keys=True, indent=1) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
 # commands
 
-def _grid_columns(s):
-    """[D, ReT, ImT, ReR, ImR, status] columns of a grid solve."""
-    return [s.D.tolist(), s.T.real.tolist(), s.T.imag.tolist(),
-            s.R.real.tolist(), s.R.imag.tolist(), ["ok"] * len(s.D)]
-
-
-def _transmit_columns(pot, energies):
-    """Transmit columns of one potential over an energy array.  When the
-    grid raises, each energy is solved alone, so that only the rows that
-    fail read ``error:<type>``."""
-    try:
-        return _grid_columns(solve_exact(pot, energies))
-    except Exception:  # numerical failure rows keep the sweep alive
-        return list(zip(*(_transmit_cells_at(pot, E) for E in energies.tolist())))
-
-
-def _transmit_cells_at(pot, E):
-    try:
-        s = solve_exact(pot, E)
-    except Exception as exc:
-        return ["", "", "", "", "", f"error:{type(exc).__name__}"]
-    return [s.D, s.T.real, s.T.imag, s.R.real, s.R.imag, "ok"]
+def _grid_columns(s, below, lost):
+    """[D, ReT, ImT, ReR, ImR, status] columns of a grid solve and its row
+    masks (see :func:`oracle._solve_grid`).  A failing row has empty
+    cells and names the error :func:`solve_exact` raises for it."""
+    cols = [v.tolist() for v in (s.D, s.T.real, s.T.imag, s.R.real, s.R.imag)]
+    status = ["ok"] * len(cols[0])
+    for i in np.flatnonzero(below | lost).tolist():
+        for col in cols:
+            col[i] = None
+        status[i] = "error:ValueError" if below[i] else "error:ConditioningError"
+    return cols + [status]
 
 
 class _RowSlabs:
@@ -241,25 +244,21 @@ def _transmit_surface(pots, energies):
     Consecutive potentials are solved together as one grid, in blocks
     that hold at most ``_BLOCK_ROWS`` rows and ``_BLOCK_ROWS`` stacked slab
     entries (or one potential, when it alone has more), so the working
-    memory stays bounded however large the surface.  A block that raises
-    is solved again one potential at a time by :func:`_transmit_columns`.
+    memory stays bounded however large the surface.  Each row carries its
+    own status: a row below a medium floor or with lost conditioning fails
+    alone (see :func:`_grid_columns`).
     """
     n_e = len(energies)
     per_block = max(1, _BLOCK_ROWS // max(n_e, len(pots[0].as_slabs()[0])))
     cols = [[] for _ in range(6)]
     for i in range(0, len(pots), per_block):
         block = pots[i:i + per_block]
-        try:
-            widths, heights = (np.array(a) for a in zip(*(q.as_slabs() for q in block)))
-            s = _solve_grid(block[0], np.tile(energies, len(block)),
-                            _RowSlabs(widths, n_e), _RowSlabs(heights, n_e),
-                            np.repeat([q.extent for q in block], n_e))
-            parts = [_grid_columns(s)]
-        except Exception:  # numerical failure rows keep the sweep alive
-            parts = [_transmit_columns(q, energies) for q in block]
-        for part in parts:
-            for col, vals in zip(cols, part):
-                col += vals
+        widths, heights = (np.array(a) for a in zip(*(q.as_slabs() for q in block)))
+        grid = _solve_grid(block[0], np.tile(energies, len(block)),
+                           _RowSlabs(widths, n_e), _RowSlabs(heights, n_e),
+                           np.repeat([q.extent for q in block], n_e))
+        for col, vals in zip(cols, _grid_columns(*grid)):
+            col += vals
     return cols
 
 
@@ -470,11 +469,15 @@ def config_from_header(path: str | Path) -> configparser.ConfigParser:
     return cfg
 
 
+_COMMANDS = {"transmit": run_transmit, "resonance": run_resonance,
+             "riccati": run_riccati, "wells": run_wells, "bands": run_bands,
+             "ensemble": run_ensemble}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="barrier1d",
                                  description="1-D barrier scattering and spectra toolkit")
-    ap.add_argument("command", choices=["transmit", "resonance", "riccati",
-                                        "wells", "bands", "ensemble"])
+    ap.add_argument("command", choices=list(_COMMANDS))
     ap.add_argument("--config", required=True, help="INI config file")
     ap.add_argument("--out", default=None, help="output path (default stdout)")
     ap.add_argument("--format", default=None, choices=["csv", "json"])
@@ -503,23 +506,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.tol is not None:
             cfg["sweep"]["tol"] = str(tol)
 
-        if args.command == "transmit":
-            return run_transmit(cfg, out, fmt, tol)
-        if args.command == "resonance":
-            return run_resonance(cfg, out, fmt, tol)
-        if args.command == "riccati":
-            return run_riccati(cfg, out, fmt, tol)
-        if args.command == "wells":
-            return run_wells(cfg, out, fmt, tol)
-        if args.command == "bands":
-            return run_bands(cfg, out, fmt, tol)
         if args.command == "ensemble":
             return run_ensemble(cfg, out, fmt, tol, seed)
-        raise ConfigError(f"unknown command {args.command}")
-    except (ConfigError, KeyError, configparser.Error) as exc:
+        return _COMMANDS[args.command](cfg, out, fmt, tol)
+    except (ConfigError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
+    except (Barrier1dError, ValueError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

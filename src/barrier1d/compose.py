@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._kernels import _BLOCK_ROWS, _cs
-from .oracle import ScatterData, solve_exact
+from .oracle import Barrier1dError, ScatterData, solve_exact
 from .potential import Potential
 
 __all__ = [
@@ -63,11 +63,11 @@ __all__ = [
 ]
 
 
-class ResonantDenominatorError(ZeroDivisionError):
+class ResonantDenominatorError(Barrier1dError, ZeroDivisionError):
     """Round-trip denominator vanished (exactly self-consistent trap mode)."""
 
 
-class LossRangeError(ValueError):
+class LossRangeError(Barrier1dError, ValueError):
     """Loss parameters drove the flux deficit W outside [0, 1]."""
 
 

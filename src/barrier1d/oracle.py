@@ -36,10 +36,17 @@ import numpy as np
 from ._kernels import _transfer_product, _transfer_products
 from .potential import Potential
 
-__all__ = ["ScatterData", "ConditioningError", "solve_exact", "free_data"]
+__all__ = ["ScatterData", "Barrier1dError", "ConditioningError", "solve_exact",
+           "free_data"]
 
 
-class ConditioningError(RuntimeError):
+class Barrier1dError(Exception):
+    """Base of every typed numerical failure of the package.  Each one also
+    keeps a builtin base (``RuntimeError``, ``ValueError`` or
+    ``ZeroDivisionError``), so handlers written for that base still work."""
+
+
+class ConditioningError(Barrier1dError, RuntimeError):
     """Raised when the slab product degenerates despite log scaling."""
 
 
@@ -127,12 +134,17 @@ def solve_exact(p: Potential, E: float | np.ndarray | list | tuple,
     :class:`ScatterData` except ``extent`` and ``loss`` is an array in
     the shape of E, holding the values of the raveled grid.  An energy
     below a floor or a lost conditioning anywhere in the grid raises, as
-    it does for a single energy.
+    it does for a single energy; a row below a floor is reported first.
     """
     if isinstance(E, (list, tuple)):
         E = np.asarray(E, dtype=float)
     if isinstance(E, np.ndarray) and E.ndim:
-        return _solve_grid(p, E, *p.as_slabs(n_slab), p.extent)
+        s, below, lost = _solve_grid(p, E, *p.as_slabs(n_slab), p.extent)
+        if below.any():
+            raise _below_floors(p, E[below][0])
+        if lost.any():
+            raise ConditioningError(_LOST_CONDITIONING)
+        return s
     if not (E > p.v_left and E > p.v_right):
         raise _below_floors(p, E)
     k_l = math.sqrt(E - p.v_left)
@@ -149,7 +161,7 @@ def solve_exact(p: Potential, E: float | np.ndarray | list | tuple,
     return _scatter_data(a12, a21, a22, k_l, k_r, scale, p.extent)
 
 
-def _solve_grid(p: Potential, E: np.ndarray, widths, heights, extent) -> ScatterData:
+def _solve_grid(p: Potential, E: np.ndarray, widths, heights, extent):
     """:func:`solve_exact` over the rows of a grid, row i at energy E[i].
 
     ``widths`` and ``heights`` iterate over the slabs between the media of
@@ -157,17 +169,19 @@ def _solve_grid(p: Potential, E: np.ndarray, widths, heights, extent) -> Scatter
     rows (see :func:`_kernels._transfer_products`), so one grid can hold
     the rows of several potentials.  ``extent`` is a scalar or an array
     over the rows.
+
+    Returns ``(data, below, lost)``: the :class:`ScatterData` of the grid
+    and two boolean row masks, rows with E not above both media floors and
+    rows whose slab product lost conditioning.  A failing row does not
+    stop the others; its fields hold NaN or inf.
     """
-    open_ = (E > p.v_left) & (E > p.v_right)
-    if not open_.all():
-        raise _below_floors(p, E[~open_][0])
-    k_l = np.sqrt(E - p.v_left)
-    k_r = np.sqrt(E - p.v_right)
-    # an opaque slab overflows cosh/sinh to inf; the check below raises
-    with np.errstate(over="ignore", invalid="ignore"):
+    below = ~((E > p.v_left) & (E > p.v_right))
+    k_l = np.sqrt(np.where(below, np.nan, E - p.v_left))
+    k_r = np.sqrt(np.where(below, np.nan, E - p.v_right))
+    # an opaque slab overflows cosh/sinh to inf, and its row is lost
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         m11, m12, m21, m22, log_scale = _transfer_products(widths, heights, E)
         a11, a12, a21, a22 = _amplitude_m(m11, m12, m21, m22, k_l, k_r)
-    if not (np.isfinite(a22) & (np.abs(a22) > 0.0)).all():
-        raise ConditioningError(_LOST_CONDITIONING)
-    scale = np.where(log_scale < 700.0, np.exp(-log_scale), 0.0)
-    return _scatter_data(a12, a21, a22, k_l, k_r, scale, extent)
+        lost = ~(below | (np.isfinite(a22) & (np.abs(a22) > 0.0)))
+        scale = np.where(log_scale < 700.0, np.exp(-log_scale), 0.0)
+        return _scatter_data(a12, a21, a22, k_l, k_r, scale, extent), below, lost

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .oracle import ScatterData, solve_exact
+from .oracle import Barrier1dError, ConditioningError, ScatterData, solve_exact
 from .potential import Constant, Potential, Segment, build_rect_pair
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-class NoResonanceError(ValueError):
+class NoResonanceError(Barrier1dError, ValueError):
     """The closed form has no solution for these parameters."""
 
 
@@ -84,7 +84,8 @@ def rect_pair_resonant_L(U: float, a: float, E: float, n: int = 0,
 
     Natural units; branch rule: n >= 0 for E > U/2, n >= 1 for E < U/2
     (at E = U/2 both branches coincide).  The returned L is checked to
-    give unit pair transmittance within ``verify_tol``.
+    give unit pair transmittance within ``verify_tol``; a gap that fails
+    the check raises :class:`ConditioningError`.
     """
     if not (U > 0.0 and a > 0.0):
         raise ValueError("need U > 0 and a > 0")
@@ -112,7 +113,7 @@ def rect_pair_resonant_L(U: float, a: float, E: float, n: int = 0,
         L = (2.0 * math.pi * n - ac) / (2.0 * k)
     d = solve_exact(build_rect_pair(U, a, L), E).D
     if abs(d - 1.0) > verify_tol:
-        raise RuntimeError(
+        raise ConditioningError(
             f"closed-form gap failed verification: D = {d} at L = {L}")
     return L
 

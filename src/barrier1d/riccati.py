@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels as K
 from .compose import GapJoin, LossModel, compose_pair
-from .oracle import ScatterData, solve_exact
+from .oracle import Barrier1dError, ScatterData, _below_floors, solve_exact
 from .potential import Potential
 
 __all__ = [
@@ -54,7 +54,7 @@ RHO_ENTER = 2e-6        # enter the polar/angle form above this rho
 TRAJECTORY_CAP = 400_000
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(Barrier1dError, RuntimeError):
     """Adaptive integration failed (stiff underflow, divergence, overflow)."""
 
 
@@ -124,8 +124,7 @@ class Trajectory:
 
 def _pieces(p: Potential, E: float):
     if not (E > p.v_left and E > p.v_right):
-        raise ValueError(f"E = {E} must lie above both media floors "
-                         f"({p.v_left}, {p.v_right})")
+        raise _below_floors(p, E)
     x0, w, u0, sl = p.as_linear_pieces()
     # measure the barrier against the incoming medium
     return x0, w, u0 - p.v_left, sl, math.sqrt(E - p.v_left)

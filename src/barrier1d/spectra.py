@@ -45,6 +45,7 @@ import numpy as np
 
 from ._kernels import (_cell_traces, _clip_trace, _cs, _cs_entries,
                        _shoot_mismatch, _transfer_product)
+from .oracle import Barrier1dError
 from .potential import Potential, compress
 
 __all__ = [
@@ -319,7 +320,7 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float = _RTOL) -> float:
 # into 1 + floor(q w) equal slabs.
 
 
-class LevelCountError(RuntimeError):
+class LevelCountError(Barrier1dError, RuntimeError):
     """The oscillation count and the root brackets of a level route
     disagree: levels closer than the float resolution, or a polish bracket
     without a sign change."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import barrier1d
+from barrier1d import cli
 from barrier1d.cli import _parse_segments, config_from_header, main
 from barrier1d.oracle import ConditioningError, solve_exact
 from barrier1d.potential import Potential, Segment, load_potential
@@ -135,6 +136,36 @@ gap_segment = 1
         assert main(["transmit", "--config", bad]) == 2
 
 
+def test_file_errors_and_missing_keys_exit_2(tmp_path, capsys):
+    # a potential file that is missing or malformed
+    for name, text in (("absent.txt", None), ("bad.txt", "segment wedge width=1\n")):
+        if text is not None:
+            write(tmp_path, name, text)
+        cfg = write(tmp_path, "f.ini", f"[potential]\nfile = {tmp_path / name}\n\n"
+                    "[transmit]\nenergy = 0.3\n")
+        assert main(["transmit", "--config", cfg]) == 2
+        assert "potential file" in capsys.readouterr().err
+    # an output path that cannot be written
+    cfg = write(tmp_path, "t.ini", FIG_PAIR)
+    assert main(["transmit", "--config", cfg,
+                 "--out", str(tmp_path / "no_such_dir" / "t.csv")]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    # a required key that is absent
+    bad = write(tmp_path, "nokey.ini", FIG_PAIR.replace("e_max = 0.6\n", ""))
+    assert main(["transmit", "--config", bad]) == 2
+    assert "missing key 'e_max'" in capsys.readouterr().err
+
+
+def test_programming_errors_in_the_grid_solver_propagate(tmp_path, monkeypatch):
+    # only typed numerical failures become error rows or exit code 3
+    def broken(*args):
+        raise TypeError("broken grid solver")
+    monkeypatch.setattr(cli, "_solve_grid", broken)
+    config = Path(__file__).resolve().parents[1] / "configs" / "two_pair_transmittance.ini"
+    with pytest.raises(TypeError, match="broken grid solver"):
+        main(["transmit", "--config", str(config), "--out", str(tmp_path / "t.csv")])
+
+
 def _surface(tmp_path, segments, e_range, e_steps, l_range, l_steps, gap):
     """CSV rows of a natural-units transmit surface, split into cells."""
     cfg = write(tmp_path, "s.ini", f"""
@@ -194,7 +225,8 @@ def test_transmit_surface_rows_equal_per_L_solves(tmp_path, segments, e_steps, l
 
 def test_transmit_surface_keeps_per_L_failure_rows(tmp_path):
     # cosh(kappa w) of the scanned barrier overflows at the widest L and
-    # lowest E: those rows fail alone, as in one solve per L
+    # lowest E: those rows fail alone, and the other rows of their L keep
+    # the values of a grid solve over the energies that succeed
     code, segs, rows = _surface(tmp_path, "const 300 1.0 ; gap 1.0 ; const 0.5 1.0",
                                 (0.1, 0.9), 9, (100.0, 1500.0), 8, 0)
     assert code == 0
@@ -202,21 +234,22 @@ def test_transmit_surface_keeps_per_L_failure_rows(tmp_path):
     expected = []
     for L in np.linspace(100.0, 1500.0, 8).tolist():
         pot = _with_width(segs, 0, L)
-        try:
-            expected += _ok_cells(solve_exact(pot, es))
-            continue
-        except ConditioningError:
-            pass
-        for E in es.tolist():
-            try:
-                s = solve_exact(pot, E)
-            except ConditioningError:
-                expected.append([""] * 5 + ["error:ConditioningError"])
-                continue
-            expected.append([*map(repr, (s.D, s.T.real, s.T.imag, s.R.real, s.R.imag)), "ok"])
+        ok = np.array([_conditioned(pot, E) for E in es.tolist()])
+        cells = iter(_ok_cells(solve_exact(pot, es[ok])))
+        expected += [next(cells) if good else [""] * 5 + ["error:ConditioningError"]
+                     for good in ok.tolist()]
     statuses = [r[7] for r in rows]
-    assert "error:ConditioningError" in statuses and "ok" in statuses
+    assert statuses.count("error:ConditioningError") == 22 and "ok" in statuses
     assert _hex([r[2:] for r in rows]) == _hex(expected)
+
+
+def _conditioned(pot, E):
+    """Whether the single-energy solve at E keeps its conditioning."""
+    try:
+        solve_exact(pot, E)
+    except ConditioningError:
+        return False
+    return True
 
 
 def test_numerical_failure_rows_are_marked(tmp_path):

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from barrier1d.oracle import ConditioningError, ScatterData, free_data, solve_exact
+from barrier1d import (Barrier1dError, IntegrationError, LevelCountError,
+                       LossRangeError, NoResonanceError, ResonantDenominatorError)
+from barrier1d.oracle import (ConditioningError, ScatterData, _solve_grid, free_data,
+                              solve_exact)
 from barrier1d.potential import Constant, Linear, Potential, Segment
 
 from conftest import (random_slab_potential, random_smoothish_potential,
@@ -162,3 +165,29 @@ def test_opaque_slab_raises_conditioning_error_on_both_paths():
         solve_exact(p, 1.0)
     with pytest.raises(ConditioningError):
         solve_exact(p, np.array([1.0, 2.0]))
+
+
+def test_grid_rows_fail_alone_and_a_closed_channel_is_reported_first():
+    # rows below the right floor (0.9) and rows whose opaque slab loses
+    # conditioning, beside rows that solve: no warning, one mask each
+    p = Potential((Segment(50.0, Constant(1000.0)),), v_right=0.9)
+    es = np.array([0.5, 0.9, 1.0, 1500.0, 2000.0])
+    s, below, lost = _solve_grid(p, es, *p.as_slabs(), p.extent)
+    assert below.tolist() == [True, True, False, False, False]
+    assert lost.tolist() == [False, False, True, False, False]
+    good = solve_exact(p, es[3:])
+    assert np.array_equal(s.T[3:], good.T) and np.array_equal(s.R[3:], good.R)
+    with pytest.raises(ValueError, match="E = 0.5 "):
+        solve_exact(p, es)
+    with pytest.raises(ConditioningError):
+        solve_exact(p, es[2:])
+
+
+@pytest.mark.parametrize("error, base", [
+    (ConditioningError, RuntimeError), (IntegrationError, RuntimeError),
+    (LevelCountError, RuntimeError), (NoResonanceError, ValueError),
+    (LossRangeError, ValueError), (ResonantDenominatorError, ZeroDivisionError),
+])
+def test_typed_errors_share_one_base_and_keep_their_builtin_one(error, base):
+    exc = error("message")
+    assert isinstance(exc, Barrier1dError) and isinstance(exc, base)

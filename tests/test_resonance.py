@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from barrier1d.compose import GapJoin, transmittance_pair
-from barrier1d.oracle import solve_exact
+from barrier1d.oracle import ConditioningError, solve_exact
 from barrier1d.potential import (Constant, Potential, Segment, UnitSystem,
                                  build_rect_pair, M_ELECTRON, HBAR, EV, ANGSTROM)
 from barrier1d.resonance import (find_resonant_E, find_resonant_L, pair_chain,
@@ -87,6 +87,13 @@ def test_branch_rule_rejects_wrong_n():
         rect_pair_resonant_L(1.0, 1.0, 0.8, -1)
     with pytest.raises(ValueError):
         rect_pair_resonant_L(1.0, 1.0, 1.5, 0)   # closed form needs 0 < E < U
+
+
+def test_failed_verification_raises_conditioning_error():
+    # D - 1 = 1.8e-15 at this gap: any nonzero defect fails a zero tolerance
+    with pytest.raises(ConditioningError, match=r"D = \S+ at L = \S+"):
+        rect_pair_resonant_L(0.9, 2.0, 0.3, 1, verify_tol=0.0)
+    assert isinstance(rect_pair_resonant_L(0.9, 2.0, 0.3, 1), float)
 
 
 def test_family_matches_closed_form_series():
