@@ -1,5 +1,6 @@
 """Hot numeric kernels: slab transfer-matrix products, the adaptive
-Riccati integrators and the bound-state shooting loop.
+Riccati integrators, the Pruefer walk of the bound-level count and polish,
+and the bound-state shooting loop.
 
 Every kernel is a plain Python function over Python numbers and numpy
 arrays.  The caller's input picks one of two paths.  An energy grid runs
@@ -9,17 +10,18 @@ built on them) and the RK4 shooting rows :func:`_rk4_rows`.  A single
 energy -- one solve, or one evaluation inside a Brent root polish
 (``spectra._brentq``) or a golden-section search -- runs scalar loops
 (:func:`_cs_entries`, :func:`_transfer_product`, :func:`_riccati_path`,
-:func:`_rk4_region`), because numpy's per-call overhead outweighs the
-work of one row.  The scalar loops take ``tolist()`` of their array
-arguments on entry, so they compute on Python floats and complex
-numbers: arithmetic on numpy scalars costs 3-4x more.  One exception: a
-single energy on a stack of at least ``_VECTOR_SLABS`` slabs (a sliced
-ramp or sampled profile) takes all its slab entries from one :func:`_cs`
-call over the slabs and multiplies adjacent slab pairs in one vectorised
-step, so its float product runs over the pairs, half as many steps; a
-few numpy calls cost less there than a Python call per slab.  A grid
-pairs the slabs of such a stack the same way, one :func:`_cs` call over
-both slabs of a pair, so the two paths keep giving the same bits.
+:func:`_prufer_walk`, :func:`_rk4_region`), because numpy's per-call
+overhead outweighs the work of one row.  The scalar loops take
+``tolist()`` of their array arguments on entry, so they compute on Python
+floats and complex numbers: arithmetic on numpy scalars costs 3-4x
+more.  One exception: a single energy on a stack of at least
+``_VECTOR_SLABS`` slabs (a sliced ramp or sampled profile) takes all its
+slab entries from one :func:`_cs` call over the slabs and multiplies
+adjacent slab pairs in one vectorised step, so its float product runs
+over the pairs, half as many steps; a few numpy calls cost less there
+than a Python call per slab.  A grid pairs the slabs of such a stack the
+same way, one :func:`_cs` call over both slabs of a pair, so the two
+paths keep giving the same bits.
 
 The rows of a grid need not share one potential.  A slab width or height
 handed to :func:`_cs` or :func:`_transfer_products` is either a scalar,
@@ -48,7 +50,13 @@ Measured on a 2-core VM (best, or best to median, of several runs):
 * shooting mismatch on a 3-well system (both paths raise the RK4 step
   matrix to its power by repeated squaring): one energy 0.06-0.09 ms
   scalar against 1.1-1.6 ms through :func:`_rk4_rows`; 800 energies
-  46-76 ms as single-energy calls against 2.2-3.4 ms as one grid.
+  46-76 ms as single-energy calls against 2.2-3.4 ms as one grid;
+* :func:`_prufer_walk` on a 3-well system (5 regions), both boundary
+  walks to the match point: one Wronskian polish evaluation on whole
+  regions 9-12 us, against 150-160 us for the one-energy dense
+  determinant it replaced; one level count, oscillating regions cut into
+  slabs, 18-19 us, against 27-28 us for its former loop over numpy's
+  region list.
 
 Shooting gives the same bits on both paths.  So do slab products of at
 least ``_VECTOR_SLABS`` slabs, whose entries come from :func:`_cs` and
@@ -529,6 +537,44 @@ def _riccati_path(x0s, ws, u0s, sls, k, form, rtol, atol, rho_enter, rho_exit, c
                     return (STATUS_UNDERFLOW, nrows, rows,
                             *_complex_state(mode, y0, y1, y2, y3), x)
     return STATUS_OK, nrows, rows, *_complex_state(mode, y0, y1, y2, y3), x
+
+
+# ----------------------------------------------------------------------
+# Pruefer walk
+#
+# (psi, psi') walked through exact slab matrices, one slab per leg, with
+# the Pruefer angle theta = atan2(psi, psi') unwrapped on the way.  theta
+# only crosses multiples of pi upwards (theta' = 1 where psi = 0), so it
+# can be unwrapped from atan2 alone across any leg in which psi changes
+# sign at most once: it ends within 2 pi above the multiple of pi below
+# its start.  That holds for every evanescent leg, and for every
+# oscillating leg with q w < pi; a caller that reads theta cuts longer
+# oscillating legs into equal slabs (spectra._level_count).  A caller that
+# reads only the end state walks whole regions.
+
+
+def _prufer_walk(legs, psi, dpsi):
+    """Walk (psi, psi') from the start of ``legs``, (q^2, w) pairs of
+    Python floats, to their end.  Returns (theta, psi, dpsi): the Pruefer
+    angle, unwrapped if psi changes sign at most once per leg, and the end
+    state up to a positive factor, with max norm 1 (the start state as
+    given if ``legs`` is empty)."""
+    theta = math.atan2(psi, dpsi)
+    for q2, w in legs:
+        if q2 < 0.0:
+            # the slab matrix over cosh(kappa w), which cannot overflow
+            ka = math.sqrt(-q2)
+            t = math.tanh(ka * w)
+            c, s, d = 1.0, t / ka, ka * t
+        else:
+            c, s = _cs_entries(q2, w)
+            d = -q2 * s
+        psi, dpsi = c * psi + s * dpsi, d * psi + c * dpsi
+        big = max(abs(psi), abs(dpsi))
+        psi, dpsi = psi / big, dpsi / big
+        floor = math.pi * math.floor(theta / math.pi)
+        theta = floor + (math.atan2(psi, dpsi) - floor) % (2.0 * math.pi)
+    return theta, psi, dpsi
 
 
 # ----------------------------------------------------------------------

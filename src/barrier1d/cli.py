@@ -284,8 +284,10 @@ def run_transmit(cfg, out, fmt, tol):
         nl = _number(sec, "l_steps", int, "50")
         if nl < 1:
             raise ConfigError("l_steps must be >= 1")
-        gaps = [_x_in(units, v) for v in
-                np.linspace(_number(sec, "l_min"), _number(sec, "l_max"), nl)]
+        l_min, l_max = _number(sec, "l_min"), _number(sec, "l_max")
+        if not (0.0 < l_min < math.inf and 0.0 < l_max < math.inf):
+            raise ConfigError("l_min and l_max must be positive and finite")
+        gaps = [_x_in(units, v) for v in np.linspace(l_min, l_max, nl)]
         gap = p.segments[gap_idx]
         pots = [Potential(p.segments[:gap_idx]
                           + (Segment(L, gap.profile, gap.compressible),)

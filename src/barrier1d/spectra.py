@@ -15,7 +15,9 @@ Two independent routes produce the levels:
 * :func:`bound_levels` assembles the full interface-matching linear system
   (wave function and derivative continuity at every boundary, wall or
   decay conditions at the outside) and scans its determinant for sign
-  changes;
+  changes; each bracketed root is then polished on the Wronskian of the
+  two boundary solutions, walked through exact slab matrices to a match
+  point -- block elimination of the same system, so the same roots;
 * :func:`bound_levels_shooting` integrates the stationary equation
   numerically from both outer boundaries and brackets the Wronskian
   mismatch at a midpoint.
@@ -43,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import (_cell_traces, _clip_trace, _cs, _cs_entries,
+from ._kernels import (_cell_traces, _clip_trace, _cs, _prufer_walk,
                        _shoot_mismatch, _transfer_product)
 from .oracle import Barrier1dError
 from .potential import Potential, compress
@@ -137,12 +139,21 @@ class LevelSet:
 # determinant route
 
 def _matching_dets(ws: WellSystem, E: np.ndarray) -> np.ndarray:
-    """Determinant of the full continuity system at each depth E.
+    """Matching function of the determinant route at each depth E.
 
-    Rows are rescaled by their max modulus (positive factors), which keeps
-    the determinant conditioned without moving its roots.
+    A grid of depths gets the determinant of the full continuity system,
+    its rows rescaled by their max modulus (positive factors), which keeps
+    it conditioned without moving its roots.  A single depth (a polish
+    evaluation) gets the Wronskian psi_L psi_R' - psi_R psi_L' of the two
+    boundary solutions walked exactly to the match point
+    (:func:`_match_walks`): block elimination of the same system, so the
+    same roots, without its cancellation.
     """
     E = np.atleast_1d(np.asarray(E, dtype=float))
+    if E.size == 1:
+        (_, psi_l, dpsi_l), (_, psi_r, dpsi_r) = _match_walks(ws, E[0], slabs=False)
+        # the right walk runs mirrored: its psi' is -psi_R'
+        return np.array([-(psi_l * dpsi_r + psi_r * dpsi_l)])
     widths = ws.region_widths()
     q2 = ws.region_q2(E)
     n_e = E.size
@@ -191,9 +202,11 @@ def _matching_dets(ws: WellSystem, E: np.ndarray) -> np.ndarray:
 
 
 def bound_levels(ws: WellSystem, E_grid: int = 800) -> LevelSet:
-    """Bound levels from the interface-matching determinant, bracketed on
-    ``E_grid`` depths across (0, max depth) and certified by the
-    oscillation count (see :func:`_levels`)."""
+    """Bound levels from the interface-matching system: its determinant,
+    scanned on ``E_grid`` depths across (0, max depth), brackets the
+    roots, and the Wronskian of the exactly walked boundary solutions
+    polishes them (see :func:`_matching_dets`); the count is certified by
+    the oscillation count (see :func:`_levels`)."""
     return _levels(ws, _matching_dets, E_grid)
 
 
@@ -308,16 +321,15 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float = _RTOL) -> float:
 # ----------------------------------------------------------------------
 # certified level count
 #
-# Sturm oscillation: with the Pruefer angle theta = atan2(psi, psi') shot
-# inward from both outer boundaries (the right-hand shot on the mirrored
-# region list) to the match point of _shoot_values, the number of levels
-# deeper than E is floor((theta_left + theta_right) / pi).  theta only
-# crosses multiples of pi upwards (theta' = 1 where psi = 0), so it can be
-# unwrapped from atan2 alone across any slab in which psi changes sign at
-# most once: it ends within 2 pi above the multiple of pi below its start.
-# That holds for every evanescent region, and for every slab of an
-# oscillating region with q w < 1 < pi, so oscillating regions are cut
-# into 1 + floor(q w) equal slabs.
+# Sturm oscillation: with the Pruefer angle theta shot inward from both
+# outer boundaries (the right-hand shot on the mirrored region list) to
+# the match point of _shoot_values, the number of levels deeper than E is
+# floor((theta_left + theta_right) / pi).  _kernels._prufer_walk unwraps
+# theta across legs in which psi changes sign at most once, so the count
+# cuts each oscillating region into 1 + floor(q w) equal slabs (q w < 1
+# each).  The polish of the determinant route walks the same boundary
+# solutions region by region: other rounding than the count's, so a
+# splitting below the float resolution still fails loudly.
 
 
 class LevelCountError(Barrier1dError, RuntimeError):
@@ -326,34 +338,47 @@ class LevelCountError(Barrier1dError, RuntimeError):
     without a sign change."""
 
 
-def _level_count(ws: WellSystem, E: float) -> int:
-    """Number of levels deeper than the depth E."""
-    legs = list(zip(ws.region_q2(E)[0].tolist(), ws.region_widths().tolist()))
+def _region_legs(ws: WellSystem, E: float) -> list[tuple[float, float]]:
+    """(q^2, width) per region at the depth E, as Python floats."""
+    legs = []
+    for i, (u, a) in enumerate(ws.wells):
+        if i:
+            legs.append((-E, ws.barriers[i - 1]))
+        legs.append((u - E, a))
+    return legs
+
+
+def _cut_oscillating(legs):
+    """Each oscillating leg as 1 + floor(q w) equal slabs."""
+    out = []
+    for q2, w in legs:
+        n = 1 + int(math.sqrt(max(q2, 0.0)) * w)
+        out += [(q2, w / n)] * n
+    return out
+
+
+def _match_walks(ws: WellSystem, E: float, slabs: bool):
+    """:func:`_prufer_walk` results (theta, psi, psi') of the walks from
+    the left and from the right outer boundary to the match point of
+    :func:`_shoot_values`.  The right walk runs on the mirrored regions,
+    where the right boundary condition reads as the left one.  With
+    ``slabs`` the oscillating regions are cut as the count needs;
+    otherwise each region is one leg, and theta is not unwrapped."""
+    E = float(E)
+    legs = _region_legs(ws, E)
     m = (len(legs) - 1) // 2
     half = (legs[m][0], 0.5 * legs[m][1])
-    total = 0.0
-    for path in (legs[:m] + [half], legs[:m:-1] + [half]):
-        # mirrored, the right boundary condition reads as the left one
-        psi, dpsi = (1.0, math.sqrt(E)) if ws.outer == FINITE else (0.0, 1.0)
-        theta = math.atan2(psi, dpsi)
-        for q2, w in path:
-            n = 1 + int(math.sqrt(max(q2, 0.0)) * w)
-            if q2 < 0.0:
-                # the slab matrix over cosh(kappa w), which cannot overflow
-                ka = math.sqrt(-q2)
-                t = math.tanh(ka * w)
-                c, s, d = 1.0, t / ka, ka * t
-            else:
-                c, s = _cs_entries(q2, w / n)
-                d = -q2 * s
-            for _ in range(n):
-                psi, dpsi = c * psi + s * dpsi, d * psi + c * dpsi
-                big = max(abs(psi), abs(dpsi))
-                psi, dpsi = psi / big, dpsi / big
-                floor = math.pi * math.floor(theta / math.pi)
-                theta = floor + (math.atan2(psi, dpsi) - floor) % (2.0 * math.pi)
-        total += theta
-    return math.floor(total / math.pi)
+    paths = (legs[:m] + [half], legs[:m:-1] + [half])
+    if slabs:
+        paths = [_cut_oscillating(path) for path in paths]
+    start = (1.0, math.sqrt(E)) if ws.outer == FINITE else (0.0, 1.0)
+    return tuple(_prufer_walk(path, *start) for path in paths)
+
+
+def _level_count(ws: WellSystem, E: float) -> int:
+    """Number of levels deeper than the depth E."""
+    (theta_l, _, _), (theta_r, _, _) = _match_walks(ws, E, slabs=True)
+    return math.floor((theta_l + theta_r) / math.pi)
 
 
 def _count_brackets(ws: WellSystem, a: float, b: float, na: int, nb: int):
@@ -378,7 +403,9 @@ def _levels(ws: WellSystem, values, E_grid: int) -> LevelSet:
     depth) are kept when their number equals the count of levels between
     the grid ends.  Otherwise the range is bisected on the count until each
     piece holds one level.  Each bracket is polished by :func:`_brentq`
-    to 1e-12 relative.
+    to 1e-12 relative on ``values`` at single depths, which may be another
+    function with the same roots; a grid depth where ``values`` is 0.0 is
+    a root as it stands.
     """
     if E_grid < 500:
         raise ValueError("E_grid must be >= 500")
@@ -393,7 +420,10 @@ def _levels(ws: WellSystem, values, E_grid: int) -> LevelSet:
     if len(brackets) != n_top - n_bottom:
         brackets = _count_brackets(ws, es[0], es[-1], n_top, n_bottom)
     try:
-        roots = [_brentq(f, a, b, rtol=1e-12, xtol=1e-300) for a, b in brackets]
+        # a zero-width bracket is a grid root, where the single-depth
+        # function need not vanish
+        roots = [float(a) if a == b else _brentq(f, a, b, rtol=1e-12, xtol=1e-300)
+                 for a, b in brackets]
     except ValueError as exc:
         # _brentq's own checks: a bracket without a sign change, or a NaN value
         raise LevelCountError(f"level bracket not resolved: {exc}") from None

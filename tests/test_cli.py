@@ -134,6 +134,15 @@ l_steps = {l_steps}
 gap_segment = 1
 """)
         assert main(["transmit", "--config", bad]) == 2
+    # and gap widths that are not positive
+    for l_min in ("-1.0", "0.0"):
+        bad = write(tmp_path, f"bad_lmin{l_min}.ini", FIG_PAIR + f"""
+l_min = {l_min}
+l_max = 8.0
+l_steps = 3
+gap_segment = 1
+""")
+        assert main(["transmit", "--config", bad]) == 2
 
 
 def test_file_errors_and_missing_keys_exit_2(tmp_path, capsys):

@@ -12,8 +12,8 @@ import pytest
 
 from barrier1d._kernels import (RICCATI_ALPHA, RICCATI_COMPLEX, RICCATI_REAL,
                                 STATUS_OK, _SCALE_LIMIT, _VECTOR_SLABS, _cell_traces,
-                                _clip_trace, _cs, _cs_entries, _riccati_path,
-                                _rk4_region, _rk4_rows, _shoot_mismatch,
+                                _clip_trace, _cs, _cs_entries, _prufer_walk,
+                                _riccati_path, _rk4_region, _rk4_rows, _shoot_mismatch,
                                 _transfer_product, _transfer_products)
 from barrier1d.oracle import ConditioningError, solve_exact
 from barrier1d.potential import Constant, Linear, Potential, Sampled, Segment
@@ -300,3 +300,23 @@ def test_shoot_grid_renormalises_like_single_rows():
                        for i in range(es.size)])
     assert np.all(np.isfinite(grid) & (grid != 0.0))
     assert np.array_equal(grid, single)
+
+
+@pytest.mark.parametrize("outer", ["infinite", "finite"])
+def test_prufer_walk_ends_parallel_to_the_slab_product(outer):
+    # the walk's end state is the product applied to the start vector, up
+    # to a positive factor, on evanescent, oscillating and flat legs alike
+    rng = np.random.default_rng(29 if outer == "finite" else 31)
+    for _ in range(50):
+        n = int(rng.integers(1, 7))
+        q2s = rng.uniform(-6.0, 8.0, n)
+        q2s[rng.random(n) < 0.1] = 0.0
+        widths = rng.uniform(0.05, 2.0, n)
+        start = (1.0, float(rng.uniform(0.1, 2.5))) if outer == "finite" else (0.0, 1.0)
+        _, psi, dpsi = _prufer_walk(list(zip(q2s.tolist(), widths.tolist())), *start)
+        m11, m12, m21, m22, _ = _transfer_product(widths, q2s)
+        ref = (m11 * start[0] + m12 * start[1], m21 * start[0] + m22 * start[1])
+        assert max(abs(psi), abs(dpsi)) == 1.0
+        norm = math.hypot(*ref) * math.hypot(psi, dpsi)
+        assert abs(psi * ref[1] - dpsi * ref[0]) <= 1e-12 * norm
+        assert psi * ref[0] + dpsi * ref[1] > 0.0

@@ -102,3 +102,25 @@ def test_polish_bracket_without_sign_change_raises_level_count_error():
         _polished_with(np.abs)
     with pytest.raises(LevelCountError, match="NaN"):
         _polished_with(lambda d: d * math.nan)
+
+
+def test_a_grid_root_is_its_own_level_without_a_polish():
+    # the grid value is exactly 0.0 at one depth where the one-depth
+    # function is not: the zero-width bracket must not reach _brentq
+    ws = WellSystem(((6.0, 4.0),), ())
+    umax = ws.max_depth
+    es = np.linspace(umax * 1e-7, umax * (1.0 - 1e-9), 800)
+    sign = np.sign(spectra._matching_dets(ws, es))
+    i = int(np.flatnonzero(sign[:-1] * sign[1:] < 0.0)[0])
+    assert spectra._matching_dets(ws, es[i:i + 1])[0] != 0.0
+
+    def values(ws, depths):
+        dets = spectra._matching_dets(ws, depths)
+        if len(depths) > 1:
+            dets[i] = 0.0
+        return dets
+    levels = spectra._levels(ws, values, 800).energies
+    polished = _polished_with(lambda d: d).energies
+    assert len(levels) == len(polished) == 3
+    assert es[i] in levels
+    assert [e for e in levels if e != es[i]] == [e for e in polished if abs(e - es[i]) > 0.1]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barrier1d._kernels import _cs_entries
 from barrier1d.potential import Constant, Potential, Segment
 import barrier1d.spectra as spectra
 from barrier1d.spectra import (LevelCountError, LevelSet, WellSystem,
@@ -129,6 +130,67 @@ def test_level_count_certifies_both_routes(wells, data, outer):
     # between adjacent levels the count is the number of deeper levels
     for k in range(len(det) - 1):
         assert _level_count(ws, 0.5 * (det[k] + det[k + 1])) == len(det) - 1 - k
+
+
+def test_wronskian_polish_resolves_the_triplets_at_2_2e_7_cm(units):
+    # the one-energy dense determinant lost these; both routes hold all 9
+    ws = fig6_system(units).with_coherent_barriers(cm(units, 2.2e-7))
+    det = bound_levels(ws).energies
+    sho = bound_levels_shooting(ws).energies
+    assert len(det) == len(sho) == 9
+    for a, b in zip(det, sho):
+        assert a == pytest.approx(b, rel=1e-9, abs=0.0)
+
+
+def test_splitting_below_resolution_at_2_5e_7_cm_raises(units):
+    ws = fig6_system(units).with_coherent_barriers(cm(units, 2.5e-7))
+    for route in (bound_levels, bound_levels_shooting):
+        with pytest.raises(LevelCountError):
+            route(ws)
+
+
+def _reference_level_count(ws, E):
+    """The level count as a loop of its own: the angle walk inlined, each
+    oscillating region cut into 1 + floor(q w) slabs of one matrix."""
+    legs = list(zip(ws.region_q2(E)[0].tolist(), ws.region_widths().tolist()))
+    m = (len(legs) - 1) // 2
+    half = (legs[m][0], 0.5 * legs[m][1])
+    total = 0.0
+    for path in (legs[:m] + [half], legs[:m:-1] + [half]):
+        psi, dpsi = (1.0, math.sqrt(E)) if ws.outer == "finite" else (0.0, 1.0)
+        theta = math.atan2(psi, dpsi)
+        for q2, w in path:
+            n = 1 + int(math.sqrt(max(q2, 0.0)) * w)
+            if q2 < 0.0:
+                ka = math.sqrt(-q2)
+                t = math.tanh(ka * w)
+                c, s, d = 1.0, t / ka, ka * t
+            else:
+                c, s = _cs_entries(q2, w / n)
+                d = -q2 * s
+            for _ in range(n):
+                psi, dpsi = c * psi + s * dpsi, d * psi + c * dpsi
+                big = max(abs(psi), abs(dpsi))
+                psi, dpsi = psi / big, dpsi / big
+                floor = math.pi * math.floor(theta / math.pi)
+                theta = floor + (math.atan2(psi, dpsi) - floor) % (2.0 * math.pi)
+        total += theta
+    return math.floor(total / math.pi)
+
+
+def test_level_count_equals_the_inlined_walk_over_a_sweep(units):
+    rng = np.random.default_rng(17)
+    systems = [fig5_system(units), fig6_system(units), fig6_system(units, "infinite"),
+               fig6_system(units).with_coherent_barriers(cm(units, 2.2e-7))]
+    for n in (1, 2, 3, 4):
+        systems.append(WellSystem(
+            tuple((float(rng.uniform(1.0, 6.0)), float(rng.uniform(0.5, 5.0)))
+                  for _ in range(n)),
+            tuple(float(rng.uniform(0.1, 3.0)) for _ in range(n - 1)),
+            outer="finite" if n % 2 else "infinite"))
+    for ws in systems:
+        for E in np.linspace(ws.max_depth * 1e-7, ws.max_depth * (1.0 - 1e-9), 200):
+            assert _level_count(ws, E) == _reference_level_count(ws, float(E))
 
 
 def test_unresolvable_splitting_raises_typed_error(units):
